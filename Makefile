@@ -28,10 +28,15 @@ bench:
 # Engine microbenchmarks + the determinism golden test: the booking,
 # charging and MMU fast paths (ns/op and allocs/op — the hot paths must
 # stay allocation-free), the exact-vs-batched-vs-parallel golden test
-# under the race detector, and the charge-amount table.
+# under the race detector, and the charge-amount table. The extent-map
+# checks run here too: the property test against a linear reference, the
+# charge-for-charge equivalence of msync/fault with the old linear walks,
+# and BenchmarkMsyncFragmented/BenchmarkPrefaultFragmented on a
+# 6144-extent file, which fail if either path goes back to O(n).
 bench-engine:
 	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/
+	$(GO) test -run 'TestMapMatchesReference|TestExtentMapMatchesLinearWalk|TestMsyncAllocationFree|TestLookupMatchesLinearReference' ./internal/extmap/ ./internal/fsbase/ ./internal/mmu/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/ ./internal/extmap/ ./internal/fsbase/
 
 # Machine-readable serving baseline: runs the -server bench, writes
 # BENCH_server.json, and regression-checks it against the committed

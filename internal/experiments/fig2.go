@@ -58,7 +58,9 @@ func Fig2(cfg Config) ([]Fig2Row, error) {
 	return []Fig2Row{huge, base}, nil
 }
 
-// staticHandler serves faults from a fixed extent list.
+// staticHandler serves faults from a fixed extent list. Both figures
+// that use it hand it a single extent, which trivially meets
+// HugeEligible's and PhysAt's sorted, disjoint input rule.
 type staticHandler struct {
 	extents []mmu.Extent
 }

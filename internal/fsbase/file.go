@@ -2,7 +2,7 @@ package fsbase
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/alloc"
 	"repro/internal/mmu"
@@ -27,43 +27,6 @@ func (f *File) Size() int64 { return f.node.Size() }
 // Close implements vfs.File.
 func (f *File) Close(ctx *sim.Ctx) error { return nil }
 
-// findRun locates the extent run backing fileBlk. Caller holds node.mu.
-func (n *Node) findRun(fileBlk int64) (phys int64, run int64, unwritten bool, ok bool) {
-	i := sort.Search(len(n.extents), func(i int) bool {
-		return n.extents[i].FileBlk+n.extents[i].Len > fileBlk
-	})
-	if i == len(n.extents) || n.extents[i].FileBlk > fileBlk {
-		return 0, 0, false, false
-	}
-	e := n.extents[i]
-	return e.Blk + (fileBlk - e.FileBlk), e.Len - (fileBlk - e.FileBlk), e.Unwritten, true
-}
-
-func (n *Node) nextExtentStart(fileBlk, max int64) int64 {
-	i := sort.Search(len(n.extents), func(i int) bool { return n.extents[i].FileBlk > fileBlk })
-	if i == len(n.extents) || n.extents[i].FileBlk >= max {
-		return max
-	}
-	return n.extents[i].FileBlk
-}
-
-func (n *Node) insertExtent(e Ext) {
-	// Merge with predecessor when contiguous and same unwritten state.
-	i := sort.Search(len(n.extents), func(i int) bool { return n.extents[i].FileBlk > e.FileBlk })
-	if i > 0 {
-		p := &n.extents[i-1]
-		if p.FileBlk+p.Len == e.FileBlk && p.Blk+p.Len == e.Blk && p.Unwritten == e.Unwritten {
-			p.Len += e.Len
-			n.gen++
-			return
-		}
-	}
-	n.extents = append(n.extents, Ext{})
-	copy(n.extents[i+1:], n.extents[i:])
-	n.extents[i] = e
-	n.gen++
-}
-
 // ReadAt implements vfs.File.
 func (f *File) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	ctx.Syscall(f.fs.model.SyscallNS)
@@ -81,12 +44,12 @@ func (f *File) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		pos := off + int64(read)
 		blk := pos / BlockSize
 		in := pos % BlockSize
-		phys, run, unwritten, ok := n.findRun(blk)
+		phys, run, unwritten, ok := n.ext.Lookup(blk)
 		if !ok || unwritten {
 			// Hole or unwritten fallocated space reads as zero.
 			var end int64
 			if !ok {
-				end = n.nextExtentStart(blk, (off+int64(len(p))+BlockSize-1)/BlockSize) * BlockSize
+				end = n.ext.NextStart(blk, (off+int64(len(p))+BlockSize-1)/BlockSize) * BlockSize
 			} else {
 				end = (blk + run) * BlockSize
 			}
@@ -144,7 +107,7 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 
 	// Zero the stale tail of a mid-block EOF when writing past it.
 	if off > oldSize && oldSize%BlockSize != 0 {
-		if phys, _, unwritten, ok := n.findRun(oldSize / BlockSize); ok && !unwritten {
+		if phys, _, unwritten, ok := n.ext.Lookup(oldSize / BlockSize); ok && !unwritten {
 			tail := min64(BlockSize-oldSize%BlockSize, off-oldSize)
 			fs.dev.Zero(ctx, phys*BlockSize+oldSize%BlockSize, tail)
 		}
@@ -153,18 +116,15 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	// Allocate unbacked blocks.
 	newExtents := 0
 	for b := startBlk; b < endBlk; {
-		if _, run, _, ok := n.findRun(b); ok {
+		if _, run, _, ok := n.ext.Lookup(b); ok {
 			b += run
 			continue
 		}
-		gapEnd := n.nextExtentStart(b, endBlk)
+		gapEnd := n.ext.NextStart(b, endBlk)
 		need := gapEnd - b
 		goal := int64(-1)
-		if len(n.extents) > 0 {
-			last := n.extents[len(n.extents)-1]
-			if last.FileBlk+last.Len == b {
-				goal = last.Blk + last.Len
-			}
+		if last, ok := n.ext.Last(); ok && last.End() == b {
+			goal = last.Blk + last.Len
 		}
 		exts, err := fs.hooks.Alloc(ctx, need, AllocHint{
 			Node: n, FileBlk: b, Goal: goal, Large: need >= alloc.BlocksPerHuge,
@@ -176,7 +136,7 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		for _, e := range exts {
 			// Zero the edge bytes the write won't cover.
 			f.zeroEdges(ctx, e, fileBlk*BlockSize, (fileBlk+e.Len)*BlockSize, off, end)
-			n.insertExtent(Ext{FileBlk: fileBlk, Blk: e.Start, Len: e.Len})
+			n.ext.Insert(ext{FileBlk: fileBlk, Blk: e.Start, Len: e.Len})
 			fileBlk += e.Len
 			newExtents++
 		}
@@ -190,7 +150,7 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		pos := off + int64(written)
 		blk := pos / BlockSize
 		in := pos % BlockSize
-		phys, run, unwritten, ok := n.findRun(blk)
+		phys, run, unwritten, ok := n.ext.Lookup(blk)
 		if !ok {
 			return written, vfs.ErrNoSpace
 		}
@@ -228,17 +188,15 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 // [startBlk, endBlk) to written, charging the zeroing of their edges.
 func (f *File) clearUnwrittenAround(ctx *sim.Ctx, startBlk, endBlk int64) {
 	n := f.node
-	for i := range n.extents {
-		e := &n.extents[i]
-		if !e.Unwritten || e.FileBlk+e.Len <= startBlk || e.FileBlk >= endBlk {
-			continue
+	i, j := n.ext.Overlap(startBlk, endBlk)
+	for k := i; k < j; k++ {
+		if e := n.ext.At(k); e.Val {
+			// Zero the whole extent's device range outside the write:
+			// charged coarsely as the extent's edges (one block each side).
+			f.fs.dev.Zero(ctx, e.Blk*BlockSize, min64(e.Len, 2)*BlockSize)
+			*n.ext.Val(k) = false
 		}
-		// Zero the whole extent's device range outside the write: charged
-		// coarsely as the extent's edges (one block each side).
-		f.fs.dev.Zero(ctx, e.Blk*BlockSize, min64(e.Len, 2)*BlockSize)
-		e.Unwritten = false
 	}
-	n.gen++
 }
 
 func (f *File) zeroEdges(ctx *sim.Ctx, e alloc.Extent, zs, ze, skipS, skipE int64) {
@@ -279,7 +237,7 @@ func (f *File) cow(ctx *sim.Ctx, p []byte, off int64) error {
 	buf := make([]byte, BlockSize)
 	for i, nb := range newBlks {
 		fileBlk := startBlk + int64(i)
-		oldPhys, _, _, okOld := n.findRun(fileBlk)
+		oldPhys, _, _, okOld := n.ext.Lookup(fileBlk)
 		bs := fileBlk * BlockSize
 		be := bs + BlockSize
 		ws, we := max64(off, bs), min64(end, be)
@@ -300,24 +258,7 @@ func (f *File) cow(ctx *sim.Ctx, p []byte, off int64) error {
 // replaceRange swaps the mapping of [startBlk, endBlk) to newExts, freeing
 // the displaced blocks. Caller holds node.mu.
 func (f *File) replaceRange(ctx *sim.Ctx, startBlk, endBlk int64, newExts []alloc.Extent) {
-	n := f.node
-	var freed []alloc.Extent
-	var keep []Ext
-	for _, e := range n.extents {
-		eEnd := e.FileBlk + e.Len
-		if eEnd <= startBlk || e.FileBlk >= endBlk {
-			keep = append(keep, e)
-			continue
-		}
-		ovS, ovE := max64(e.FileBlk, startBlk), min64(eEnd, endBlk)
-		freed = append(freed, alloc.Extent{Start: e.Blk + (ovS - e.FileBlk), Len: ovE - ovS})
-		if e.FileBlk < ovS {
-			keep = append(keep, Ext{FileBlk: e.FileBlk, Blk: e.Blk, Len: ovS - e.FileBlk, Unwritten: e.Unwritten})
-		}
-		if ovE < eEnd {
-			keep = append(keep, Ext{FileBlk: ovE, Blk: e.Blk + (ovE - e.FileBlk), Len: eEnd - ovE, Unwritten: e.Unwritten})
-		}
-	}
+	var repl []ext
 	fileBlk := startBlk
 	for _, e := range newExts {
 		l := min64(e.Len, endBlk-fileBlk)
@@ -325,16 +266,22 @@ func (f *File) replaceRange(ctx *sim.Ctx, startBlk, endBlk int64, newExts []allo
 			f.fs.hooks.Free(ctx, []alloc.Extent{e})
 			continue
 		}
-		keep = append(keep, Ext{FileBlk: fileBlk, Blk: e.Start, Len: l})
+		repl = append(repl, ext{FileBlk: fileBlk, Blk: e.Start, Len: l})
 		if l < e.Len {
 			f.fs.hooks.Free(ctx, []alloc.Extent{{Start: e.Start + l, Len: e.Len - l}})
 		}
 		fileBlk += l
 	}
-	sort.Slice(keep, func(i, j int) bool { return keep[i].FileBlk < keep[j].FileBlk })
-	n.extents = keep
-	n.gen++
-	f.fs.hooks.Free(ctx, freed)
+	f.fs.hooks.Free(ctx, physOf(f.node.ext.Replace(startBlk, endBlk, repl, nil)))
+}
+
+// physOf returns the physical blocks of removed extents, for freeing.
+func physOf(removed []ext) []alloc.Extent {
+	var out []alloc.Extent
+	for _, e := range removed {
+		out = append(out, alloc.Extent{Start: e.Blk, Len: e.Len})
+	}
+	return out
 }
 
 // Truncate implements vfs.File (grow = sparse, shrink = free).
@@ -350,29 +297,12 @@ func (f *File) Truncate(ctx *sim.Ctx, size int64) error {
 		// POSIX: zero the stale tail of the last kept block so a later
 		// grow reads zeros past the new EOF.
 		if size%BlockSize != 0 {
-			if phys, _, unwritten, ok := n.findRun(size / BlockSize); ok && !unwritten {
+			if phys, _, unwritten, ok := n.ext.Lookup(size / BlockSize); ok && !unwritten {
 				fs.dev.Zero(ctx, phys*BlockSize+size%BlockSize, BlockSize-size%BlockSize)
 			}
 		}
 		keepBlks := (size + BlockSize - 1) / BlockSize
-		var freed []alloc.Extent
-		var keep []Ext
-		for _, e := range n.extents {
-			eEnd := e.FileBlk + e.Len
-			if eEnd <= keepBlks {
-				keep = append(keep, e)
-				continue
-			}
-			if e.FileBlk >= keepBlks {
-				freed = append(freed, alloc.Extent{Start: e.Blk, Len: e.Len})
-				continue
-			}
-			cut := keepBlks - e.FileBlk
-			keep = append(keep, Ext{FileBlk: e.FileBlk, Blk: e.Blk, Len: cut, Unwritten: e.Unwritten})
-			freed = append(freed, alloc.Extent{Start: e.Blk + cut, Len: e.Len - cut})
-		}
-		n.extents = keep
-		n.gen++
+		freed := physOf(n.ext.Replace(keepBlks, math.MaxInt64, nil, nil))
 		if len(freed) > 0 {
 			// Shoot down live mapping translations before the freed
 			// blocks can be reused; faults past the new EOF now get
@@ -402,18 +332,15 @@ func (f *File) Fallocate(ctx *sim.Ctx, off, length int64) error {
 	endBlk := (off + length + BlockSize - 1) / BlockSize
 	newExtents := 0
 	for b := startBlk; b < endBlk; {
-		if _, run, _, ok := n.findRun(b); ok {
+		if _, run, _, ok := n.ext.Lookup(b); ok {
 			b += run
 			continue
 		}
-		gapEnd := n.nextExtentStart(b, endBlk)
+		gapEnd := n.ext.NextStart(b, endBlk)
 		need := gapEnd - b
 		goal := int64(-1)
-		if len(n.extents) > 0 {
-			last := n.extents[len(n.extents)-1]
-			if last.FileBlk+last.Len == b {
-				goal = last.Blk + last.Len
-			}
+		if last, ok := n.ext.Last(); ok && last.End() == b {
+			goal = last.Blk + last.Len
 		}
 		exts, err := fs.hooks.Alloc(ctx, need, AllocHint{Node: n, FileBlk: b, Goal: goal, Large: need >= alloc.BlocksPerHuge})
 		if err != nil {
@@ -426,7 +353,7 @@ func (f *File) Fallocate(ctx *sim.Ctx, off, length int64) error {
 				// NOVA-style: zero the space now so faults are cheap.
 				fs.dev.Zero(ctx, e.StartByte(), e.Bytes())
 			}
-			n.insertExtent(Ext{FileBlk: fileBlk, Blk: e.Start, Len: e.Len, Unwritten: unwritten})
+			n.ext.Insert(ext{FileBlk: fileBlk, Blk: e.Start, Len: e.Len, Val: unwritten})
 			fileBlk += e.Len
 			newExtents++
 		}
@@ -455,24 +382,7 @@ func (f *File) Fsync(ctx *sim.Ctx) error {
 func (f *File) Extents() []mmu.Extent {
 	f.node.mu.RLock()
 	defer f.node.mu.RUnlock()
-	return f.node.mmuExtentsLocked()
-}
-
-func (n *Node) mmuExtentsLocked() []mmu.Extent {
-	if n.mmapGen == n.gen && n.mmapExt != nil {
-		return n.mmapExt
-	}
-	out := make([]mmu.Extent, 0, len(n.extents))
-	for _, e := range n.extents {
-		out = append(out, mmu.Extent{
-			FileOff: e.FileBlk * BlockSize,
-			Phys:    e.Blk * BlockSize,
-			Len:     e.Len * BlockSize,
-		})
-	}
-	n.mmapExt = out
-	n.mmapGen = n.gen
-	return out
+	return f.node.ext.Extents()
 }
 
 // SetXattr implements vfs.File. Baselines accept but do not act on the
@@ -510,15 +420,15 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	exts := n.mmuExtentsLocked()
+	exts := n.ext.View()
 	if phys, ok := mmu.HugeEligible(exts, chunkOff); ok {
-		if f.faultZero(ctx, chunkOff/BlockSize, mmu.PagesPerHuge) {
+		if f.faultZero(chunkOff/BlockSize, mmu.PagesPerHuge) {
 			fs.dev.Zero(ctx, phys, mmu.HugePage)
 		}
 		return mmu.FaultResult{Huge: true, Phys: phys}, nil
 	}
 	if phys, ok := mmu.PhysAt(exts, pageOff); ok {
-		if f.faultZero(ctx, pageOff/BlockSize, 1) {
+		if f.faultZero(pageOff/BlockSize, 1) {
 			fs.dev.Zero(ctx, phys, BlockSize)
 		}
 		return mmu.FaultResult{Phys: phys}, nil
@@ -536,7 +446,7 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 	}
 	blk := exts2[0].Start
 	fs.dev.Zero(ctx, blk*BlockSize, BlockSize)
-	n.insertExtent(Ext{FileBlk: pageOff / BlockSize, Blk: blk, Len: 1})
+	n.ext.Insert(ext{FileBlk: pageOff / BlockSize, Blk: blk, Len: 1})
 	fs.hooks.MetaOp(ctx, n, 1, MetaData)
 	return mmu.FaultResult{Phys: blk * BlockSize}, nil
 }
@@ -546,35 +456,14 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 // splitting extents as needed — so every fault into fallocated space pays
 // its own zeroing (the ext4-DAX behaviour Table 2's discussion describes).
 // Caller holds n.mu.
-func (f *File) faultZero(ctx *sim.Ctx, blk, count int64) bool {
+func (f *File) faultZero(blk, count int64) bool {
 	if !f.fs.hooks.ZeroOnFault() {
 		return false
 	}
-	n := f.node
-	zero := false
-	var out []Ext
-	for _, e := range n.extents {
-		eEnd := e.FileBlk + e.Len
-		if !e.Unwritten || eEnd <= blk || e.FileBlk >= blk+count {
-			out = append(out, e)
-			continue
-		}
-		zero = true
-		ovS, ovE := max64(e.FileBlk, blk), min64(eEnd, blk+count)
-		if e.FileBlk < ovS {
-			out = append(out, Ext{FileBlk: e.FileBlk, Blk: e.Blk, Len: ovS - e.FileBlk, Unwritten: true})
-		}
-		out = append(out, Ext{FileBlk: ovS, Blk: e.Blk + (ovS - e.FileBlk), Len: ovE - ovS})
-		if ovE < eEnd {
-			out = append(out, Ext{FileBlk: ovE, Blk: e.Blk + (ovE - e.FileBlk), Len: eEnd - ovE, Unwritten: true})
-		}
-	}
-	if zero {
-		n.extents = out
-		n.gen++
-	}
-	return zero
+	return f.node.ext.Mark(blk, blk+count, isUnwritten, false)
 }
+
+func isUnwritten(unwritten bool) bool { return unwritten }
 
 func max64(a, b int64) int64 {
 	if a > b {

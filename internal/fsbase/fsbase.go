@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"repro/internal/alloc"
+	"repro/internal/extmap"
 	"repro/internal/mmu"
 	"repro/internal/pmem"
 	"repro/internal/rbtree"
@@ -96,30 +97,23 @@ type Hooks interface {
 	OnDelete(ctx *sim.Ctx, n *Node)
 }
 
-// Ext is one file extent. Unwritten marks fallocated-but-unzeroed space
-// (ext4 semantics: zeroing happens at fault/write time).
-type Ext struct {
-	FileBlk   int64
-	Blk       int64
-	Len       int64
-	Unwritten bool
-}
+// ext is one file extent. Its payload is the unwritten flag: fallocated
+// but not yet zeroed space (ext4 semantics: zeroing happens at fault or
+// write time).
+type ext = extmap.Entry[bool]
 
 // Node is a file or directory.
 type Node struct {
 	Ino   uint64
 	IsDir bool
 
-	mu      sync.RWMutex
-	size    int64
-	extents []Ext // sorted by FileBlk
-	nlink   int
+	mu    sync.RWMutex
+	size  int64
+	ext   extmap.Map[bool] // payload: unwritten
+	nlink int
 
 	children *rbtree.Tree[string, *Node] // directories
 
-	gen     uint64
-	mmapGen uint64
-	mmapExt []mmu.Extent
 	// mappings are the live memory mappings over this node; layout
 	// changes (truncate, delete) shoot their translations down before
 	// freed blocks can be reused.
@@ -145,7 +139,7 @@ func (n *Node) Size() int64 {
 func (n *Node) ExtentCount() int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return len(n.extents)
+	return n.ext.Len()
 }
 
 // FS is a mounted baseline file system.
@@ -338,13 +332,9 @@ func (fs *FS) Unlink(ctx *sim.Ctx, path string) error {
 func (fs *FS) destroy(ctx *sim.Ctx, n *Node) {
 	fs.hooks.OnDelete(ctx, n)
 	n.mu.Lock()
-	var ex []alloc.Extent
-	for _, e := range n.extents {
-		ex = append(ex, alloc.Extent{Start: e.Blk, Len: e.Len})
-	}
-	n.extents = nil
+	ex := physOf(n.ext.All())
+	n.ext.Reset(nil)
 	n.size = 0
-	n.gen++
 	maps := n.mappings
 	n.mappings = nil
 	n.mu.Unlock()

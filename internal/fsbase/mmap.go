@@ -48,19 +48,10 @@ func (f *File) MsyncRange(ctx *sim.Ctx, off, n int64) error {
 	startBlk := off / BlockSize
 	endBlk := (off + n + BlockSize - 1) / BlockSize
 	node.mu.RLock()
-	for _, e := range node.extents {
-		lo, hi := e.FileBlk, e.FileBlk+e.Len
-		if lo < startBlk {
-			lo = startBlk
-		}
-		if hi > endBlk {
-			hi = endBlk
-		}
-		if lo >= hi {
-			continue
-		}
-		fs.dev.Flush(ctx, (e.Blk+lo-e.FileBlk)*BlockSize, (hi-lo)*BlockSize)
-	}
+	node.ext.Range(startBlk, endBlk, func(e ext) bool {
+		fs.dev.Flush(ctx, e.Blk*BlockSize, e.Len*BlockSize)
+		return true
+	})
 	node.mu.RUnlock()
 	fs.dev.Fence(ctx)
 	return nil

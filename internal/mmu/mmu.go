@@ -47,31 +47,51 @@ type Extent struct {
 // hugepage mapping is permitted, and if so returns the physical address of
 // the chunk. The condition is the paper's: a single extent must cover the
 // whole chunk and the backing physical address must be 2MiB-aligned.
+//
+// extents must be sorted by FileOff and pairwise disjoint (every file
+// system's extent map, and internal/extmap's view, are): the covering
+// extent is found by binary search.
 func HugeEligible(extents []Extent, chunkOff int64) (int64, bool) {
-	for _, e := range extents {
-		if chunkOff >= e.FileOff && chunkOff < e.FileOff+e.Len {
-			phys := e.Phys + (chunkOff - e.FileOff)
-			if phys%HugePage != 0 {
-				return 0, false
-			}
-			if e.FileOff+e.Len < chunkOff+HugePage {
-				return 0, false // chunk spans an extent boundary
-			}
-			return phys, true
-		}
+	e, ok := covering(extents, chunkOff)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	phys := e.Phys + (chunkOff - e.FileOff)
+	if phys%HugePage != 0 {
+		return 0, false
+	}
+	if e.FileOff+e.Len < chunkOff+HugePage {
+		return 0, false // chunk spans an extent boundary
+	}
+	return phys, true
 }
 
 // PhysAt resolves the physical address backing file offset off in the
-// extent list, if present.
+// extent list, if present. Like HugeEligible it binary-searches, so
+// extents must be sorted by FileOff and pairwise disjoint.
 func PhysAt(extents []Extent, off int64) (int64, bool) {
-	for _, e := range extents {
-		if off >= e.FileOff && off < e.FileOff+e.Len {
-			return e.Phys + (off - e.FileOff), true
+	e, ok := covering(extents, off)
+	if !ok {
+		return 0, false
+	}
+	return e.Phys + (off - e.FileOff), true
+}
+
+// covering returns the extent containing file offset off.
+func covering(extents []Extent, off int64) (Extent, bool) {
+	lo, hi := 0, len(extents)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if e := extents[mid]; e.FileOff+e.Len > off {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return 0, false
+	if lo == len(extents) || extents[lo].FileOff > off {
+		return Extent{}, false
+	}
+	return extents[lo], true
 }
 
 // FaultResult is a file system's answer to a page fault.

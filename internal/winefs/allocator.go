@@ -484,9 +484,9 @@ func (a *allocator) free(ctx *sim.Ctx, e alloc.Extent) {
 }
 
 // freeAll frees a list of file extents.
-func (a *allocator) freeAll(ctx *sim.Ctx, ex []wextent) {
+func (a *allocator) freeAll(ctx *sim.Ctx, ex []mapExt) {
 	for _, e := range ex {
-		a.free(ctx, alloc.Extent{Start: e.blk, Len: e.length})
+		a.free(ctx, alloc.Extent{Start: e.Blk, Len: e.Len})
 	}
 }
 
@@ -668,13 +668,4 @@ func (g *group) releaseHoldLocked() bool {
 		g.addHoleLocked(p.Start, p.Len)
 	}
 	return total == BlocksPerHuge
-}
-
-// heldBlocks sums the blocks parked in holdParts (caller holds g.mu).
-func (g *group) heldBlocksLocked() int64 {
-	var n int64
-	for _, p := range g.holdParts {
-		n += p.Len
-	}
-	return n
 }

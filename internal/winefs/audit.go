@@ -171,12 +171,12 @@ func (fs *FS) Audit(ctx *sim.Ctx) error {
 	var slowUsed []alloc.Extent
 	for _, ino := range fs.snapshotInodes() {
 		ino.mu.RLock()
-		for _, e := range ino.extents {
-			if fs.isSlow(e.blk) {
-				usedSlow += e.length
-				slowUsed = append(slowUsed, alloc.Extent{Start: e.blk, Len: e.length})
+		for _, e := range ino.ext.All() {
+			if fs.isSlow(e.Blk) {
+				usedSlow += e.Len
+				slowUsed = append(slowUsed, alloc.Extent{Start: e.Blk, Len: e.Len})
 			} else {
-				used += e.length
+				used += e.Len
 			}
 		}
 		used += int64(len(ino.indirect)) // indirect blocks are PM-only
@@ -242,8 +242,8 @@ func (fs *FS) auditUsedExtents() []alloc.Extent {
 	var out []alloc.Extent
 	for _, ino := range fs.snapshotInodes() {
 		ino.mu.RLock()
-		for _, e := range ino.extents {
-			out = append(out, alloc.Extent{Start: e.blk, Len: e.length})
+		for _, e := range ino.ext.All() {
+			out = append(out, alloc.Extent{Start: e.Blk, Len: e.Len})
 		}
 		for _, b := range ino.indirect {
 			out = append(out, alloc.Extent{Start: b, Len: 1})

@@ -217,8 +217,8 @@ func (fs *FS) defragChunk(ctx *sim.Ctx, g *group, base int64, pacer *sim.Pacer, 
 	for _, ino := range fs.snapshotInodes() {
 		ino.mu.RLock()
 		overlaps := false
-		for _, e := range ino.extents {
-			if e.blk < end && e.blk+e.length > base {
+		for _, e := range ino.ext.All() {
+			if e.Blk < end && e.Blk+e.Len > base {
 				overlaps = true
 				break
 			}
@@ -303,10 +303,10 @@ func (fs *FS) migrateOut(ctx *sim.Ctx, ino *inode, base, end int64, pacer *sim.P
 		// CoW may have vacated some or all of the chunk on its own.
 		type runSpan struct{ fileLo, n int64 }
 		var runs []runSpan
-		for _, e := range ino.extents {
-			lo, hi := max64(e.blk, base), min64(e.blk+e.length, end)
+		for _, e := range ino.ext.All() {
+			lo, hi := max64(e.Blk, base), min64(e.Blk+e.Len, end)
 			if lo < hi {
-				runs = append(runs, runSpan{fileLo: e.fileBlk + lo - e.blk, n: hi - lo})
+				runs = append(runs, runSpan{fileLo: e.FileBlk + lo - e.Blk, n: hi - lo})
 			}
 		}
 		for _, r := range runs {

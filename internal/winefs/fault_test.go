@@ -175,11 +175,11 @@ func TestPoisonedDataReadsEIO(t *testing.T) {
 	}
 	fi, _ := fs.Stat(ctx, "/f")
 	ino := fs.getInode(fi.Ino)
-	if len(ino.extents) == 0 {
+	if ino.ext.Len() == 0 {
 		t.Fatal("no extents")
 	}
 	// Poison one cache line in the middle of the first block.
-	dev.Poison(ino.extents[0].blk*BlockSize+256, 1)
+	dev.Poison(ino.ext.At(0).Blk*BlockSize+256, 1)
 
 	buf := make([]byte, 64)
 	// A read over the poisoned line fails with EIO.
@@ -290,8 +290,8 @@ func TestRepairQuarantinesOrphan(t *testing.T) {
 	dino := fs.getInode(di.Ino)
 	found := false
 	buf := make([]byte, DirentSize)
-	for _, e := range dino.extents {
-		for b := e.blk; b < e.blk+e.length && !found; b++ {
+	for _, e := range dino.ext.All() {
+		for b := e.Blk; b < e.Blk+e.Len && !found; b++ {
 			for off := int64(0); off < BlockSize; off += DirentSize {
 				dev.ReadAt(buf, b*BlockSize+off)
 				cino, name, valid := decodeDirent(buf)
@@ -368,7 +368,7 @@ func TestRepairTruncatesBadExtents(t *testing.T) {
 	}
 	fi, _ := fs.Stat(ctx, "/a")
 	ino := fs.getInode(fi.Ino)
-	if len(ino.extents) < 5 {
+	if ino.ext.Len() < 5 {
 		t.Skip("allocator merged extents; cannot build a multi-record file")
 	}
 	// Poison the cache line holding inline extent records 4..7. Poison is

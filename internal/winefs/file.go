@@ -2,7 +2,6 @@ package winefs
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/alloc"
 	"repro/internal/mmu"
@@ -37,32 +36,6 @@ func (f *File) Close(ctx *sim.Ctx) error {
 	return nil
 }
 
-// findRun returns the physical block and contiguous run length backing
-// fileBlk, via binary search over the sorted extent list. Caller holds
-// ino.mu.
-func (ino *inode) findRun(fileBlk int64) (phys int64, run int64, ok bool) {
-	exts := ino.extents
-	i := sort.Search(len(exts), func(i int) bool {
-		return exts[i].fileBlk+exts[i].length > fileBlk
-	})
-	if i == len(exts) || exts[i].fileBlk > fileBlk {
-		return 0, 0, false
-	}
-	e := exts[i]
-	return e.blk + (fileBlk - e.fileBlk), e.length - (fileBlk - e.fileBlk), true
-}
-
-// nextExtentStart returns the first extent fileBlk strictly greater than
-// fileBlk, or max if none. Caller holds ino.mu.
-func (ino *inode) nextExtentStart(fileBlk, max int64) int64 {
-	exts := ino.extents
-	i := sort.Search(len(exts), func(i int) bool { return exts[i].fileBlk > fileBlk })
-	if i == len(exts) || exts[i].fileBlk >= max {
-		return max
-	}
-	return exts[i].fileBlk
-}
-
 // ReadAt implements vfs.File. Reads past EOF are truncated; holes in
 // sparse files read as zeros.
 func (f *File) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
@@ -85,10 +58,10 @@ func (f *File) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		pos := off + int64(read)
 		blk := pos / BlockSize
 		in := pos % BlockSize
-		phys, run, ok := ino.findRun(blk)
+		phys, run, _, ok := ino.ext.Lookup(blk)
 		if !ok {
 			// Sparse hole: zero fill up to the next extent.
-			holeEnd := ino.nextExtentStart(blk, (off+int64(len(p))+BlockSize-1)/BlockSize) * BlockSize
+			holeEnd := ino.ext.NextStart(blk, (off+int64(len(p))+BlockSize-1)/BlockSize) * BlockSize
 			n := holeEnd - pos
 			if n > int64(len(p)-read) {
 				n = int64(len(p) - read)
@@ -122,58 +95,49 @@ func (f *File) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 // physically adjacent neighbour when possible (sequential appends carve
 // contiguous space from the same hole, so merging keeps appended files in
 // a few large extents — without it every 4KiB append would add a record).
-func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
+// A merged entry keeps its record slot and heat; a new one takes the next
+// free record.
+func (fs *FS) recAppend(ctx *sim.Ctx, tx *mtx, ino *inode, e mapExt) error {
+	m := &ino.ext
+	i := m.Search(e.FileBlk)
 	// Try to extend the predecessor covering fileBlk-1.
-	i := sort.Search(len(ino.extents), func(i int) bool {
-		return ino.extents[i].fileBlk > e.fileBlk
-	})
 	if i > 0 {
-		p := &ino.extents[i-1]
-		if p.fileBlk+p.length == e.fileBlk && p.blk+p.length == e.blk {
-			p.length += e.length
-			ino.gen++
+		if p := m.At(i - 1); p.End() == e.FileBlk && p.Blk+p.Len == e.Blk {
+			p.Len += e.Len
+			m.Set(i-1, p)
 			return fs.writeExtentSlot(ctx, tx, ino, i-1)
 		}
 	}
 	// Or prepend to the successor.
-	if i < len(ino.extents) {
-		nx := &ino.extents[i]
-		if e.fileBlk+e.length == nx.fileBlk && e.blk+e.length == nx.blk {
-			nx.fileBlk = e.fileBlk
-			nx.blk = e.blk
-			nx.length += e.length
-			ino.gen++
+	if i < m.Len() {
+		if nx := m.At(i); e.End() == nx.FileBlk && e.Blk+e.Len == nx.Blk {
+			nx.FileBlk, nx.Blk, nx.Len = e.FileBlk, e.Blk, nx.Len+e.Len
+			m.Set(i, nx)
 			return fs.writeExtentSlot(ctx, tx, ino, i)
 		}
 	}
-	ino.extents = append(ino.extents, e)
-	ino.slots = append(ino.slots, len(ino.extents)-1)
-	ino.gen++
-	if err := fs.writeExtentSlot(ctx, tx, ino, len(ino.extents)-1); err != nil {
-		return err
-	}
-	sortExtents(ino)
-	return nil
-}
-
-// recUpdate persists DRAM extent i to its PM record.
-func (fs *FS) recUpdate(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
-	ino.gen++
+	e.Val = extVal{slot: m.Len()}
+	m.Splice(i, i, e)
 	return fs.writeExtentSlot(ctx, tx, ino, i)
 }
 
-// recRemove deletes DRAM extent i, keeping PM records dense by moving the
-// last record into the vacated slot.
+// recUpdate replaces extent-map entry i with e and persists it to the
+// entry's record.
+func (fs *FS) recUpdate(ctx *sim.Ctx, tx *mtx, ino *inode, i int, e mapExt) error {
+	ino.ext.Set(i, e)
+	return fs.writeExtentSlot(ctx, tx, ino, i)
+}
+
+// recRemove deletes extent-map entry i, keeping PM records dense by moving
+// the last record into the vacated slot.
 func (fs *FS) recRemove(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
-	ino.gen++
-	r := ino.slots[i]
-	last := len(ino.extents) - 1
-	lastRec := last // record count-1
+	r := ino.ext.At(i).Val.slot
+	lastRec := ino.ext.Len() - 1
 	if r != lastRec {
-		// Find the DRAM entry occupying the last record and move it to r.
-		for k := range ino.slots {
-			if ino.slots[k] == lastRec {
-				ino.slots[k] = r
+		// Find the entry occupying the last record and move it to r.
+		for k, e := range ino.ext.All() {
+			if e.Val.slot == lastRec {
+				ino.ext.Val(k).slot = r
 				if err := fs.writeExtentSlot(ctx, tx, ino, k); err != nil {
 					return err
 				}
@@ -181,8 +145,7 @@ func (fs *FS) recRemove(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
 			}
 		}
 	}
-	ino.extents = append(ino.extents[:i], ino.extents[i+1:]...)
-	ino.slots = append(ino.slots[:i], ino.slots[i+1:]...)
+	ino.ext.Splice(i, i+1)
 	return nil
 }
 
@@ -195,11 +158,11 @@ func (f *File) allocRange(ctx *sim.Ctx, tx *mtx, startBlk, endBlk int64, wantAli
 	ino := f.ino
 	b := startBlk
 	for b < endBlk {
-		if _, run, ok := ino.findRun(b); ok {
+		if _, run, _, ok := ino.ext.Lookup(b); ok {
 			b += run
 			continue
 		}
-		gapEnd := ino.nextExtentStart(b, endBlk)
+		gapEnd := ino.ext.NextStart(b, endBlk)
 		need := gapEnd - b
 		// Hugepage-sized pieces always come from the aligned pool (inside
 		// alloc); round the tail up to a full aligned extent only for
@@ -215,7 +178,7 @@ func (f *File) allocRange(ctx *sim.Ctx, tx *mtx, startBlk, endBlk int64, wantAli
 			zs := fileBlk * BlockSize
 			ze := (fileBlk + e.Len) * BlockSize
 			f.zeroEdges(ctx, e, zs, ze, skipZeroStart, skipZeroEnd)
-			if err := fs.recAppend(ctx, tx, ino, wextent{fileBlk: fileBlk, blk: e.Start, length: e.Len}); err != nil {
+			if err := fs.recAppend(ctx, tx, ino, mapExt{FileBlk: fileBlk, Blk: e.Start, Len: e.Len}); err != nil {
 				return err
 			}
 			fileBlk += e.Len
@@ -266,7 +229,7 @@ func (ino *inode) rangeWritableLocked(mode vfs.ConsistencyMode, off, end int64) 
 	}
 	endBlk := (end + BlockSize - 1) / BlockSize
 	for b := off / BlockSize; b < endBlk; {
-		_, run, ok := ino.findRun(b)
+		_, run, _, ok := ino.ext.Lookup(b)
 		if !ok {
 			return false
 		}
@@ -345,7 +308,7 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	// A write starting past a mid-block EOF exposes the stale tail of the
 	// old last block: zero it so the gap reads as zero.
 	if off > oldSize && oldSize%BlockSize != 0 {
-		if phys, _, ok := ino.findRun(oldSize / BlockSize); ok {
+		if phys, _, _, ok := ino.ext.Lookup(oldSize / BlockSize); ok {
 			tail := min64(BlockSize-oldSize%BlockSize, off-oldSize)
 			fs.dataZero(ctx, phys*BlockSize+oldSize%BlockSize, tail)
 		}
@@ -353,7 +316,7 @@ func (f *File) write(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 
 	needAlloc := false
 	for b := startBlk; b < endBlk; {
-		_, run, ok := ino.findRun(b)
+		_, run, _, ok := ino.ext.Lookup(b)
 		if !ok {
 			needAlloc = true
 			break
@@ -412,7 +375,7 @@ func (f *File) writeRange(ctx *sim.Ctx, p []byte, off int64) (n int, ok bool, er
 		pos := off + int64(written)
 		blk := pos / BlockSize
 		in := pos % BlockSize
-		phys, run, found := ino.findRun(blk)
+		phys, run, _, found := ino.ext.Lookup(blk)
 		if !found {
 			return 0, false, nil // unreachable after the recheck
 		}
@@ -455,7 +418,7 @@ func (f *File) writeData(ctx *sim.Ctx, getTx func() *mtx, p []byte, off, oldSize
 		pos := off + int64(written)
 		blk := pos / BlockSize
 		in := pos % BlockSize
-		phys, run, ok := ino.findRun(blk)
+		phys, run, _, ok := ino.ext.Lookup(blk)
 		if !ok {
 			return vfs.ErrNoSpace // allocRange must have covered everything
 		}
@@ -507,18 +470,15 @@ const dataJournalMinBlocks = 64
 // be updated via data journaling (aligned hugepage extent, or a large
 // contiguous run whose layout is worth preserving).
 func (ino *inode) extentAlignedAtLocked(fileBlk int64) bool {
-	exts := ino.extents
-	i := sort.Search(len(exts), func(i int) bool {
-		return exts[i].fileBlk+exts[i].length > fileBlk
-	})
-	if i == len(exts) || exts[i].fileBlk > fileBlk {
+	i, ok := ino.ext.Find(fileBlk)
+	if !ok {
 		return false
 	}
-	e := exts[i]
-	if e.blk%BlocksPerHuge == 0 && e.length >= BlocksPerHuge {
+	e := ino.ext.At(i)
+	if e.Blk%BlocksPerHuge == 0 && e.Len >= BlocksPerHuge {
 		return true
 	}
-	return e.length >= dataJournalMinBlocks
+	return e.Len >= dataJournalMinBlocks
 }
 
 func (f *File) extentAlignedAt(fileBlk int64) bool {
@@ -566,7 +526,7 @@ func (f *File) cowRange(ctx *sim.Ctx, tx *mtx, p []byte, off int64) error {
 	buf := make([]byte, BlockSize)
 	for i, nb := range newBlks {
 		fileBlk := startBlk + int64(i)
-		oldPhys, _, okOld := ino.findRun(fileBlk)
+		oldPhys, _, _, okOld := ino.ext.Lookup(fileBlk)
 		bs := fileBlk * BlockSize
 		be := bs + BlockSize
 		ws := off
@@ -606,49 +566,39 @@ func (f *File) replaceRange(ctx *sim.Ctx, tx *mtx, startBlk, endBlk int64, newEx
 	for _, m := range ino.mappings {
 		m.Invalidate()
 	}
-	// 1. Detach the old mapping over the range.
+	// 1. Detach the old mapping over the range, one overlapping entry at
+	// a time: each step persists its record before the next.
 	var freed []alloc.Extent
-	for i := 0; i < len(ino.extents); {
-		e := ino.extents[i]
-		eEnd := e.fileBlk + e.length
-		if eEnd <= startBlk || e.fileBlk >= endBlk {
-			i++
-			continue
-		}
-		ovS := max64(e.fileBlk, startBlk)
-		ovE := min64(eEnd, endBlk)
-		freed = append(freed, alloc.Extent{Start: e.blk + (ovS - e.fileBlk), Len: ovE - ovS})
-		switch {
-		case ovS == e.fileBlk && ovE == eEnd:
+	for i := ino.ext.Search(startBlk); i < ino.ext.Len() && ino.ext.At(i).FileBlk < endBlk; {
+		e := ino.ext.At(i)
+		ovS := max64(e.FileBlk, startBlk)
+		ovE := min64(e.End(), endBlk)
+		freed = append(freed, alloc.Extent{Start: e.Blk + (ovS - e.FileBlk), Len: ovE - ovS})
+		head, tail := e, e
+		head.Len = ovS - e.FileBlk
+		tail.FileBlk, tail.Blk, tail.Len = ovE, e.Blk+(ovE-e.FileBlk), e.End()-ovE
+		if head.Len == 0 && tail.Len == 0 {
 			if err := fs.recRemove(ctx, tx, ino, i); err != nil {
 				return err
 			}
-		case ovS == e.fileBlk:
-			ino.extents[i].fileBlk = ovE
-			ino.extents[i].blk += ovE - e.fileBlk
-			ino.extents[i].length = eEnd - ovE
-			if err := fs.recUpdate(ctx, tx, ino, i); err != nil {
-				return err
-			}
-			i++
-		case ovE == eEnd:
-			ino.extents[i].length = ovS - e.fileBlk
-			if err := fs.recUpdate(ctx, tx, ino, i); err != nil {
-				return err
-			}
-			i++
-		default:
-			// Split: head stays, tail appended.
-			tail := wextent{fileBlk: ovE, blk: e.blk + (ovE - e.fileBlk), length: eEnd - ovE}
-			ino.extents[i].length = ovS - e.fileBlk
-			if err := fs.recUpdate(ctx, tx, ino, i); err != nil {
-				return err
-			}
-			if err := fs.recAppend(ctx, tx, ino, tail); err != nil {
-				return err
-			}
-			i++
+			continue
 		}
+		var err error
+		switch {
+		case head.Len == 0:
+			err = fs.recUpdate(ctx, tx, ino, i, tail)
+		case tail.Len == 0:
+			err = fs.recUpdate(ctx, tx, ino, i, head)
+		default:
+			// Split: head stays, tail gets a record of its own.
+			if err = fs.recUpdate(ctx, tx, ino, i, head); err == nil {
+				err = fs.recAppend(ctx, tx, ino, mapExt{FileBlk: tail.FileBlk, Blk: tail.Blk, Len: tail.Len})
+			}
+		}
+		if err != nil {
+			return err
+		}
+		i++
 	}
 	// 2. Attach the new mapping.
 	fileBlk := startBlk
@@ -657,7 +607,7 @@ func (f *File) replaceRange(ctx *sim.Ctx, tx *mtx, startBlk, endBlk int64, newEx
 		if fileBlk+l > endBlk {
 			l = endBlk - fileBlk
 		}
-		if err := fs.recAppend(ctx, tx, ino, wextent{fileBlk: fileBlk, blk: e.Start, length: l}); err != nil {
+		if err := fs.recAppend(ctx, tx, ino, mapExt{FileBlk: fileBlk, Blk: e.Start, Len: l}); err != nil {
 			return err
 		}
 		fileBlk += l
@@ -705,31 +655,28 @@ func (f *File) Truncate(ctx *sim.Ctx, size int64) error {
 		// POSIX: if the file grows again later, bytes past the new EOF must
 		// read as zero — zero the stale tail of the last kept block now.
 		if size%BlockSize != 0 {
-			if phys, _, ok := ino.findRun(size / BlockSize); ok {
+			if phys, _, _, ok := ino.ext.Lookup(size / BlockSize); ok {
 				tail := BlockSize - size%BlockSize
 				fs.dataZero(ctx, phys*BlockSize+size%BlockSize, tail)
 			}
 		}
 		keepBlks := (size + BlockSize - 1) / BlockSize
 		var freed []alloc.Extent
-		for i := 0; i < len(ino.extents); {
-			e := ino.extents[i]
-			eEnd := e.fileBlk + e.length
-			if eEnd <= keepBlks {
-				i++
-				continue
-			}
-			if e.fileBlk >= keepBlks {
-				freed = append(freed, alloc.Extent{Start: e.blk, Len: e.length})
+		// Only the entries past keepBlks change; each step persists its
+		// record before the next.
+		for i := ino.ext.Search(keepBlks); i < ino.ext.Len(); {
+			e := ino.ext.At(i)
+			if e.FileBlk >= keepBlks {
+				freed = append(freed, alloc.Extent{Start: e.Blk, Len: e.Len})
 				if err := fs.recRemove(ctx, tx, ino, i); err != nil {
 					return fs.failTx(tx, "truncate", err)
 				}
 				continue
 			}
-			cut := keepBlks - e.fileBlk
-			freed = append(freed, alloc.Extent{Start: e.blk + cut, Len: e.length - cut})
-			ino.extents[i].length = cut
-			if err := fs.recUpdate(ctx, tx, ino, i); err != nil {
+			cut := keepBlks - e.FileBlk
+			freed = append(freed, alloc.Extent{Start: e.Blk + cut, Len: e.Len - cut})
+			e.Len = cut
+			if err := fs.recUpdate(ctx, tx, ino, i, e); err != nil {
 				return fs.failTx(tx, "truncate", err)
 			}
 			i++
@@ -811,48 +758,7 @@ func (f *File) Fsync(ctx *sim.Ctx) error {
 func (f *File) Extents() []mmu.Extent {
 	f.ino.mu.RLock()
 	defer f.ino.mu.RUnlock()
-	return f.ino.mmuExtentsRLocked()
-}
-
-// mmuExtentsLocked converts (and caches) the extent list in mmu form.
-// Caller holds ino.mu EXCLUSIVELY — the cache fields are written here, and
-// concurrent shared-lock holders read them (mmuExtentsRLocked).
-func (ino *inode) mmuExtentsLocked() []mmu.Extent {
-	if ino.mmapGen == ino.gen && ino.mmapExt != nil {
-		return ino.mmapExt
-	}
-	out := ino.buildMMUExtents()
-	ino.mmapExt = out
-	ino.mmapGen = ino.gen
-	return out
-}
-
-// mmuExtentsRLocked is mmuExtentsLocked for shared-lock holders: it serves
-// a fresh cache but rebuilds WITHOUT storing on a miss (two concurrent
-// readers writing the cache fields would race).
-func (ino *inode) mmuExtentsRLocked() []mmu.Extent {
-	if ino.mmapGen == ino.gen && ino.mmapExt != nil {
-		return ino.mmapExt
-	}
-	return ino.buildMMUExtents()
-}
-
-func (ino *inode) buildMMUExtents() []mmu.Extent {
-	out := make([]mmu.Extent, 0, len(ino.extents))
-	for _, e := range ino.extents {
-		// Slow-tier extents are not byte-addressable and cannot be mapped:
-		// they are left out, so a DAX fault on their range misses and the
-		// fault path promotes them to PM first (Fault).
-		if ino.fs.isSlow(e.blk) {
-			continue
-		}
-		out = append(out, mmu.Extent{
-			FileOff: e.fileBlk * BlockSize,
-			Phys:    e.blk * BlockSize,
-			Len:     e.length * BlockSize,
-		})
-	}
-	return out
+	return f.ino.ext.Extents()
 }
 
 // SetPathXattr sets an extended attribute by path — usable on directories
@@ -955,16 +861,13 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 	ino := f.ino
 	chunkOff := pageOff / mmu.HugePage * mmu.HugePage
 
+	// The view is patched in place by layout changes, so it is only read
+	// under the lock.
 	ino.mu.RLock()
-	exts := ino.mmuExtentsRLocked()
-	size := ino.size
+	res, ok := backedFault(ino.ext.View(), chunkOff, pageOff)
 	ino.mu.RUnlock()
-
-	if phys, ok := mmu.HugeEligible(exts, chunkOff); ok {
-		return mmu.FaultResult{Huge: true, Phys: phys}, nil
-	}
-	if phys, ok := mmu.PhysAt(exts, pageOff); ok {
-		return mmu.FaultResult{Phys: phys}, nil
+	if ok {
+		return res, nil
 	}
 
 	// Demand allocation under the inode lock. A degraded (read-only) file
@@ -978,16 +881,12 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 	defer ino.mu.Unlock()
 
 	// Re-check after taking the lock.
-	exts = ino.mmuExtentsLocked()
-	if phys, ok := mmu.HugeEligible(exts, chunkOff); ok {
-		return mmu.FaultResult{Huge: true, Phys: phys}, nil
-	}
-	if phys, ok := mmu.PhysAt(exts, pageOff); ok {
-		return mmu.FaultResult{Phys: phys}, nil
+	if res, ok := backedFault(ino.ext.View(), chunkOff, pageOff); ok {
+		return res, nil
 	}
 
-	// The page may be backed on the slow tier (mmuExtentsLocked skips those
-	// extents — they are not byte-addressable). Promote it to PM and serve
+	// The page may be backed on the slow tier (the view leaves those
+	// extents out — they are not byte-addressable). Promote it to PM and serve
 	// the fault from the new location; falling through to demand allocation
 	// would double-back the page and orphan the slow copy.
 	if fblk := pageOff / BlockSize; fs.isSlow(blkAt(ino, fblk)) {
@@ -997,12 +896,8 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 		if !fs.promoteRunLocked(ctx, ino, fblk) {
 			return mmu.FaultResult{}, vfs.ErrNoSpace
 		}
-		exts = ino.mmuExtentsLocked()
-		if phys, ok := mmu.HugeEligible(exts, chunkOff); ok {
-			return mmu.FaultResult{Huge: true, Phys: phys}, nil
-		}
-		if phys, ok := mmu.PhysAt(exts, pageOff); ok {
-			return mmu.FaultResult{Phys: phys}, nil
+		if res, ok := backedFault(ino.ext.View(), chunkOff, pageOff); ok {
+			return res, nil
 		}
 		return mmu.FaultResult{}, fmt.Errorf("winefs: fault at %d not backed after promotion: %w", pageOff, vfs.ErrMapFault)
 	}
@@ -1011,7 +906,7 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 	// file size (re-read under the lock — a racing truncate/unlink may
 	// have shrunk it since the unlocked probe). mmap rounds the file out
 	// to a page boundary; anything past that is a typed fault error.
-	size = ino.size
+	size := ino.size
 	if pageOff >= (size+BlockSize-1)/BlockSize*BlockSize {
 		return mmu.FaultResult{}, fmt.Errorf("winefs: fault at %d beyond eof %d: %w", pageOff, size, vfs.ErrMapFault)
 	}
@@ -1019,18 +914,15 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 	tx := fs.begin(ctx)
 	chunkBlk := chunkOff / BlockSize
 	chunkFree := true
-	for b := chunkBlk; b < chunkBlk+BlocksPerHuge; b++ {
-		if _, _, ok := ino.findRun(b); ok {
-			chunkFree = false
-			break
-		}
+	if i, j := ino.ext.Overlap(chunkBlk, chunkBlk+BlocksPerHuge); i < j {
+		chunkFree = false
 	}
 	if chunkFree && chunkOff+mmu.HugePage <= size {
 		// The whole chunk is unbacked and within the file: allocate one
 		// aligned extent and serve a hugepage fault.
 		if blk, ok := fs.alloc.allocAligned(ctx, tx.cpu); ok {
 			fs.dev.Zero(ctx, blk*BlockSize, alloc.HugeBytes)
-			if err := fs.recAppend(ctx, tx, ino, wextent{fileBlk: chunkBlk, blk: blk, length: BlocksPerHuge}); err != nil {
+			if err := fs.recAppend(ctx, tx, ino, mapExt{FileBlk: chunkBlk, Blk: blk, Len: BlocksPerHuge}); err != nil {
 				return mmu.FaultResult{}, fs.failTx(tx, "fault", err)
 			}
 			tx.commit()
@@ -1045,9 +937,21 @@ func (f *File) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, error) {
 	}
 	blk := small[0].Start
 	fs.dev.Zero(ctx, blk*BlockSize, BlockSize)
-	if err := fs.recAppend(ctx, tx, ino, wextent{fileBlk: pageOff / BlockSize, blk: blk, length: 1}); err != nil {
+	if err := fs.recAppend(ctx, tx, ino, mapExt{FileBlk: pageOff / BlockSize, Blk: blk, Len: 1}); err != nil {
 		return mmu.FaultResult{}, fs.failTx(tx, "fault", err)
 	}
 	tx.commit()
 	return mmu.FaultResult{Phys: blk * BlockSize}, nil
+}
+
+// backedFault serves a fault from the mmu view when the page is already
+// backed by PM: a hugepage when the chunk is eligible, else a base page.
+func backedFault(view []mmu.Extent, chunkOff, pageOff int64) (mmu.FaultResult, bool) {
+	if phys, ok := mmu.HugeEligible(view, chunkOff); ok {
+		return mmu.FaultResult{Huge: true, Phys: phys}, true
+	}
+	if phys, ok := mmu.PhysAt(view, pageOff); ok {
+		return mmu.FaultResult{Phys: phys}, true
+	}
+	return mmu.FaultResult{}, false
 }

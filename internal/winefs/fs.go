@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/alloc"
+	"repro/internal/extmap"
 	"repro/internal/mmu"
 	"repro/internal/pmem"
 	"repro/internal/rbtree"
@@ -198,19 +198,43 @@ type inode struct {
 	flags    uint32
 	size     int64
 	nlink    uint32
-	extents  []wextent // sorted by fileBlk; slot holds each record's PM index
-	slots    []int     // parallel to extents: PM record slot
-	indirect []int64   // indirect extent blocks, in chain order
+	ext      extmap.Map[extVal] // the file's extents; payload names each one's PM record
+	indirect []int64            // indirect extent blocks, in chain order
 
 	dir *dirIndex // directories only
-
-	gen     uint64 // bumped on layout change (invalidates mmap extent cache)
-	mmapGen uint64
-	mmapExt []mmu.Extent
 
 	// mappings are the live mmaps of this file; the reactive rewriter
 	// shoots them down after swapping the extent map.
 	mappings []*mmu.Mapping
+}
+
+// extVal is the payload WineFS keeps on each extent-map entry.
+type extVal struct {
+	// slot is the index of the entry's 16-byte PM extent record. Records
+	// stay dense: removing one moves the last record into its slot.
+	slot int
+	// heat counts recent accesses for tier placement (DRAM-only: not
+	// encoded in the PM record, so it resets to cold at mount). Bumped
+	// atomically under a shared ino.mu, aged by TierPass.
+	heat int64
+}
+
+// mapExt is one entry of an inode's extent map.
+type mapExt = extmap.Entry[extVal]
+
+// newInode returns a DRAM inode. On a tiered mount its extent map keeps
+// slow-tier extents out of the mmu view: they are not byte-addressable,
+// so a DAX fault on their range misses and the fault path promotes them
+// to PM first.
+func (fs *FS) newInode(num uint64, typ uint8, nlink uint32) *inode {
+	ino := &inode{fs: fs, ino: num, typ: typ, nlink: nlink}
+	if fs.tier != nil {
+		ino.ext.Hidden = fs.isSlow
+	}
+	if typ == typeDir {
+		ino.dir = newDirIndex()
+	}
+	return ino
 }
 
 // typNow reads the inode type under its lock: namespace pre-checks race
@@ -273,7 +297,7 @@ func Mkfs(ctx *sim.Ctx, dev *pmem.Device, opts Options) (*FS, error) {
 	}
 	fs.initInodeFree()
 	// Root directory: ino 1 (CPU 0, slot 0).
-	root := &inode{fs: fs, ino: 1, typ: typeDir, nlink: 2, dir: newDirIndex()}
+	root := fs.newInode(1, typeDir, 2)
 	fs.putInode(root)
 	fs.removeFreeIno(0, 0)
 	fs.persistInodeRaw(ctx, root)
@@ -367,7 +391,7 @@ func (fs *FS) writeInodeHeader(ctx *sim.Ctx, tx *mtx, ino *inode) error {
 		flags:    ino.flags,
 		size:     ino.size,
 		nlink:    ino.nlink,
-		extCount: uint32(len(ino.extents)),
+		extCount: uint32(ino.ext.Len()),
 	}
 	if len(ino.indirect) > 0 {
 		di.indirect = ino.indirect[0]
@@ -390,7 +414,7 @@ func (fs *FS) writeInodeHeader(ctx *sim.Ctx, tx *mtx, ino *inode) error {
 // rebuild paths).
 func (fs *FS) persistInodeRaw(ctx *sim.Ctx, ino *inode) {
 	_ = fs.writeInodeHeader(ctx, nil, ino) // nil tx: cannot fail
-	for i := range ino.extents {
+	for i := 0; i < ino.ext.Len(); i++ {
 		_ = fs.writeExtentSlot(ctx, nil, ino, i)
 	}
 	fs.dev.Fence(ctx)
@@ -435,18 +459,15 @@ func (fs *FS) extSlotAddr(ctx *sim.Ctx, tx *mtx, ino *inode, slot int) (int64, e
 	return base + 8 + int64(idx%extPerIndirect)*extentSize, nil
 }
 
-// writeExtentSlot persists extent record i of the inode.
+// writeExtentSlot persists extent-map entry i of the inode to its record.
 func (fs *FS) writeExtentSlot(ctx *sim.Ctx, tx *mtx, ino *inode, i int) error {
-	slot := i
-	if len(ino.slots) > i {
-		slot = ino.slots[i]
-	}
-	addr, err := fs.extSlotAddr(ctx, tx, ino, slot)
+	e := ino.ext.At(i)
+	addr, err := fs.extSlotAddr(ctx, tx, ino, e.Val.slot)
 	if err != nil {
 		return err
 	}
 	var b [extentSize]byte
-	encodeExtent(b[:], ino.extents[i])
+	encodeExtent(b[:], wextent{fileBlk: e.FileBlk, blk: e.Blk, length: e.Len})
 	if tx != nil {
 		if err := tx.undo(addr, extentSize); err != nil {
 			return err
@@ -575,11 +596,10 @@ func (fs *FS) direntSlot(ctx *sim.Ctx, tx *mtx, dir *inode) (int64, error) {
 	blk := ext[0].Start
 	fs.dev.Zero(ctx, blk*BlockSize, BlockSize)
 	fileBlk := int64(0)
-	if n := len(dir.extents); n > 0 {
-		last := dir.extents[n-1]
-		fileBlk = last.fileBlk + last.length
+	if last, ok := dir.ext.Last(); ok {
+		fileBlk = last.End()
 	}
-	if err := fs.appendExtent(ctx, tx, dir, wextent{fileBlk: fileBlk, blk: blk, length: 1}); err != nil {
+	if err := fs.appendExtent(ctx, tx, dir, mapExt{FileBlk: fileBlk, Blk: blk, Len: 1}); err != nil {
 		return 0, err
 	}
 	base := blk * BlockSize
@@ -613,19 +633,16 @@ func (fs *FS) clearDirent(ctx *sim.Ctx, tx *mtx, addr int64) error {
 
 // appendExtent adds a record to the inode's extent list, merging with the
 // last record when physically and logically contiguous.
-func (fs *FS) appendExtent(ctx *sim.Ctx, tx *mtx, ino *inode, e wextent) error {
-	if n := len(ino.extents); n > 0 {
-		last := &ino.extents[n-1]
-		if last.fileBlk+last.length == e.fileBlk && last.blk+last.length == e.blk {
-			last.length += e.length
-			ino.gen++
-			return fs.writeExtentSlot(ctx, tx, ino, n-1)
-		}
+func (fs *FS) appendExtent(ctx *sim.Ctx, tx *mtx, ino *inode, e mapExt) error {
+	n := ino.ext.Len()
+	if last, ok := ino.ext.Last(); ok && last.End() == e.FileBlk && last.Blk+last.Len == e.Blk {
+		last.Len += e.Len
+		ino.ext.Set(n-1, last)
+		return fs.writeExtentSlot(ctx, tx, ino, n-1)
 	}
-	ino.extents = append(ino.extents, e)
-	ino.slots = append(ino.slots, len(ino.slots))
-	ino.gen++
-	return fs.writeExtentSlot(ctx, tx, ino, len(ino.extents)-1)
+	e.Val = extVal{slot: n}
+	ino.ext.Splice(n, n, e)
+	return fs.writeExtentSlot(ctx, tx, ino, n)
 }
 
 // --- vfs.FS implementation --------------------------------------------------
@@ -669,7 +686,7 @@ func (fs *FS) Create(ctx *sim.Ctx, path string) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	child := &inode{fs: fs, ino: inoNum, typ: typeFile, nlink: 1}
+	child := fs.newInode(inoNum, typeFile, 1)
 	// §3.6: files directly within a directory inherit its alignment
 	// attribute (rsync/cp receive-side behaviour).
 	parent.mu.RLock()
@@ -738,7 +755,7 @@ func (fs *FS) Mkdir(ctx *sim.Ctx, path string) error {
 	if err != nil {
 		return err
 	}
-	child := &inode{fs: fs, ino: inoNum, typ: typeDir, nlink: 2, dir: newDirIndex()}
+	child := fs.newInode(inoNum, typeDir, 2)
 
 	tx := fs.begin(ctx)
 	parent.mu.Lock()
@@ -833,15 +850,13 @@ func (fs *FS) Unlink(ctx *sim.Ctx, path string) error {
 // destroyInode releases an unlinked inode's storage.
 func (fs *FS) destroyInode(ctx *sim.Ctx, ino *inode) {
 	ino.mu.Lock()
-	exts := ino.extents
+	exts := ino.ext.All()
 	indirect := ino.indirect
 	maps := ino.mappings
-	ino.extents = nil
-	ino.slots = nil
+	ino.ext.Reset(nil)
 	ino.indirect = nil
 	ino.mappings = nil
 	ino.size = 0
-	ino.gen++
 	ino.mu.Unlock()
 	// Unlink-under-mmap: shoot down every live translation before the
 	// blocks go back to the allocator. Size is now zero, so any later
@@ -1104,21 +1119,3 @@ func (fs *FS) AddressSpace() *mmu.AddressSpace { return fs.as }
 
 // Journals returns the number of per-CPU journals (for tests).
 func (fs *FS) Journals() int { return len(fs.journals) }
-
-// sortExtents re-sorts an inode's extent list by file offset, keeping the
-// slot mapping attached.
-func sortExtents(ino *inode) {
-	type pair struct {
-		e wextent
-		s int
-	}
-	ps := make([]pair, len(ino.extents))
-	for i := range ino.extents {
-		ps[i] = pair{ino.extents[i], ino.slots[i]}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].e.fileBlk < ps[j].e.fileBlk })
-	for i := range ps {
-		ino.extents[i] = ps[i].e
-		ino.slots[i] = ps[i].s
-	}
-}

@@ -87,16 +87,10 @@ type jentry struct {
 	data [undoBytes]byte
 }
 
-// entry layout: magic u16 | typ u8 | len u8 | wrap u32 | txid u64 |
-// addr u64 | data[32] | pad[8].
-func encodeEntry(e *jentry) []byte {
-	b := make([]byte, EntrySize)
-	encodeEntryTo(b, e)
-	return b
-}
-
 // encodeEntryTo encodes into a caller-owned EntrySize buffer, so the hot
-// append path can reuse one scratch buffer per transaction.
+// append path can reuse one scratch buffer per transaction. Entry layout:
+// magic u16 | typ u8 | len u8 | wrap u32 | txid u64 | addr u64 |
+// data[32] | pad[8].
 func encodeEntryTo(b []byte, e *jentry) {
 	le := binary.LittleEndian
 	le.PutUint16(b[0:], entryMagic)

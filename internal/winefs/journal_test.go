@@ -20,6 +20,13 @@ func mk(t *testing.T) (*FS, *sim.Ctx, *pmem.Device) {
 	return fs, ctx, dev
 }
 
+// encodeEntry encodes a journal entry into a fresh buffer.
+func encodeEntry(e *jentry) []byte {
+	b := make([]byte, EntrySize)
+	encodeEntryTo(b, e)
+	return b
+}
+
 func TestJournalEntryCodec(t *testing.T) {
 	e := jentry{typ: entryData, n: 17, wrap: 3, txid: 42, addr: 0xdeadbeef}
 	copy(e.data[:], "old-bytes")

@@ -225,18 +225,13 @@ func decodeSuperblock(b []byte) superblock {
 
 // --- on-PM inode ----------------------------------------------------------
 
-// wextent is a file extent: fileBlk is the logical block offset within the
+// wextent is a file extent as its 16-byte PM record holds it: fileBlk is the logical block offset within the
 // file, blk the physical block, and len the run length in blocks. Files may
 // be sparse (gaps in fileBlk).
 type wextent struct {
 	fileBlk int64
 	blk     int64
 	length  int64
-
-	// heat counts recent accesses for tier placement (DRAM-only: not
-	// encoded in the 16-byte PM record, so it resets to cold at mount).
-	// Bumped atomically under a shared ino.mu, aged by TierPass.
-	heat int64
 }
 
 func encodeExtent(b []byte, e wextent) {

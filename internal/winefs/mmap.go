@@ -61,14 +61,10 @@ func (f *File) MsyncRange(ctx *sim.Ctx, off, n int64) error {
 	startBlk := off / BlockSize
 	endBlk := (off + n + BlockSize - 1) / BlockSize
 	ino.mu.RLock()
-	for _, e := range ino.extents {
-		lo := max64(e.fileBlk, startBlk)
-		hi := min64(e.fileBlk+e.length, endBlk)
-		if lo >= hi {
-			continue
-		}
-		fs.dev.Flush(ctx, (e.blk+lo-e.fileBlk)*BlockSize, (hi-lo)*BlockSize)
-	}
+	ino.ext.Range(startBlk, endBlk, func(e mapExt) bool {
+		fs.dev.Flush(ctx, e.Blk*BlockSize, e.Len*BlockSize)
+		return true
+	})
 	ino.mu.RUnlock()
 	fs.dev.Fence(ctx)
 	return nil
@@ -105,7 +101,7 @@ func (f *File) PunchHole(ctx *sim.Ctx, off, n int64) error {
 	startBlk := (off + BlockSize - 1) / BlockSize
 	endBlk := (off + n) / BlockSize
 	zero := func(b, zOff, zN int64) {
-		if phys, _, ok := ino.findRun(b); ok {
+		if phys, _, _, ok := ino.ext.Lookup(b); ok {
 			fs.dev.Zero(ctx, phys*BlockSize+zOff, zN)
 		}
 	}
@@ -144,7 +140,7 @@ func (f *File) ProbeHuge(chunkOff int64, install func(phys int64)) bool {
 	if chunkOff < 0 || chunkOff%mmu.HugePage != 0 || chunkOff+mmu.HugePage > ino.size {
 		return false
 	}
-	phys, run, ok := ino.findRun(chunkOff / BlockSize)
+	phys, run, _, ok := ino.ext.Lookup(chunkOff / BlockSize)
 	if !ok || phys%BlocksPerHuge != 0 || run < BlocksPerHuge {
 		return false
 	}

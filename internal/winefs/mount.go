@@ -156,21 +156,13 @@ func (fs *FS) rebuildFromScan(ctx *sim.Ctx, rebuildFree bool) {
 				}
 			}
 			inoNum := fs.g.inoFor(c, s)
-			ino := &inode{
-				fs:    fs,
-				ino:   inoNum,
-				typ:   di.typ,
-				flags: di.flags,
-				size:  di.size,
-				nlink: di.nlink,
-			}
-			if di.typ == typeDir {
-				ino.dir = newDirIndex()
-			}
+			ino := fs.newInode(inoNum, di.typ, di.nlink)
+			ino.flags = di.flags
+			ino.size = di.size
 			cpuCost += fs.loadExtents(ino, di)
 			if rebuildFree {
-				for _, e := range ino.extents {
-					fs.alloc.markUsed(e.blk, e.length)
+				for _, e := range ino.ext.All() {
+					fs.alloc.markUsed(e.Blk, e.Len)
 				}
 				for _, blk := range ino.indirect {
 					fs.alloc.markUsed(blk, 1)
@@ -195,7 +187,7 @@ func (fs *FS) rebuildFromScan(ctx *sim.Ctx, rebuildFree bool) {
 	if fs.getInode(1) == nil {
 		// A formatted FS always has a root; restore a fresh one if the
 		// image predates any successful create (defensive).
-		root := &inode{fs: fs, ino: 1, typ: typeDir, nlink: 2, dir: newDirIndex()}
+		root := fs.newInode(1, typeDir, 2)
 		fs.putInode(root)
 		fs.removeFreeIno(0, 0)
 	}
@@ -209,8 +201,9 @@ func (fs *FS) rebuildFromScan(ctx *sim.Ctx, rebuildFree bool) {
 func (fs *FS) loadExtents(ino *inode, di dinode) int64 {
 	var cost int64
 	n := int(di.extCount)
-	ino.extents = make([]wextent, 0, n)
-	ino.slots = make([]int, 0, n)
+	exts := make([]mapExt, 0, n)
+	// Every return installs the records loaded so far, sorted by file block.
+	defer func() { ino.ext.Reset(exts) }()
 	if di.indirect != 0 {
 		ino.indirect = []int64{di.indirect}
 	}
@@ -227,18 +220,15 @@ func (fs *FS) loadExtents(ino *inode, di dinode) int64 {
 				last := ino.indirect[len(ino.indirect)-1]
 				if err := fs.dev.CheckRange(last*BlockSize, 8); err != nil {
 					fs.degrade("ino %d: corrupt indirect chain: %v", ino.ino, err)
-					sortExtents(ino)
 					return cost
 				}
 				var pb [8]byte
 				if err := fs.dev.ReadAtChecked(pb[:], last*BlockSize); err != nil {
 					fs.degrade("ino %d: indirect block unreadable: %v", ino.ino, err)
-					sortExtents(ino)
 					return cost
 				}
 				next := int64(binary.LittleEndian.Uint64(pb[:]))
 				if next == 0 {
-					sortExtents(ino)
 					return cost
 				}
 				ino.indirect = append(ino.indirect, next)
@@ -262,10 +252,8 @@ func (fs *FS) loadExtents(ino *inode, di dinode) int64 {
 			fs.degrade("ino %d: extent record %d corrupt (blk=%d len=%d)", ino.ino, i, e.blk, e.length)
 			break
 		}
-		ino.extents = append(ino.extents, wextent{fileBlk: e.fileBlk, blk: e.blk, length: e.length})
-		ino.slots = append(ino.slots, i)
+		exts = append(exts, mapExt{FileBlk: e.fileBlk, Blk: e.blk, Len: e.length, Val: extVal{slot: i}})
 	}
-	sortExtents(ino)
 	return cost
 }
 
@@ -273,8 +261,8 @@ func (fs *FS) loadExtents(ino *inode, di dinode) int64 {
 // blocks.
 func (fs *FS) loadDirIndex(ctx *sim.Ctx, dir *inode) {
 	buf := make([]byte, BlockSize)
-	for _, e := range dir.extents {
-		for b := e.blk; b < e.blk+e.length; b++ {
+	for _, e := range dir.ext.All() {
+		for b := e.Blk; b < e.Blk+e.Len; b++ {
 			if err := fs.dev.ReadAtChecked(buf, b*BlockSize); err != nil {
 				// The entries in this block are unknowable: the namespace may
 				// be missing files, so the mount is read-only from here on.

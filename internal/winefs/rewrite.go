@@ -17,20 +17,16 @@ import (
 // maybeQueueRewrite checks a file's layout at mmap time and queues it for
 // rewriting if any full 2MiB chunk of it cannot be hugepage-mapped.
 func (fs *FS) maybeQueueRewrite(ino *inode) {
-	ino.mu.RLock()
-	size := ino.size
-	exts := ino.mmuExtentsRLocked()
-	ino.mu.RUnlock()
-	if size < mmu.HugePage {
-		return
-	}
 	fragmented := false
-	for chunk := int64(0); chunk+mmu.HugePage <= size; chunk += mmu.HugePage {
-		if _, ok := mmu.HugeEligible(exts, chunk); !ok {
+	ino.mu.RLock()
+	view := ino.ext.View()
+	for chunk := int64(0); chunk+mmu.HugePage <= ino.size; chunk += mmu.HugePage {
+		if _, ok := mmu.HugeEligible(view, chunk); !ok {
 			fragmented = true
 			break
 		}
 	}
+	ino.mu.RUnlock()
 	if !fragmented {
 		return
 	}
@@ -200,10 +196,8 @@ func (fs *FS) rewriteFile(ctx *sim.Ctx, ino *inode, pacer *sim.Pacer) (done, ret
 		}
 	}
 	// Swap the extent map: free the old layout, install the new.
-	old := ino.extents
-	oldSlots := ino.slots
-	ino.extents = nil
-	ino.slots = nil
+	old := ino.ext.All()
+	var swapped []mapExt
 	fileBlk := int64(0)
 	for _, ne := range newExts {
 		l := ne.Len
@@ -214,16 +208,15 @@ func (fs *FS) rewriteFile(ctx *sim.Ctx, ino *inode, pacer *sim.Pacer) (done, ret
 			fs.alloc.free(ctx, ne)
 			continue
 		}
-		ino.extents = append(ino.extents, wextent{fileBlk: fileBlk, blk: ne.Start, length: l})
-		ino.slots = append(ino.slots, len(ino.slots))
+		swapped = append(swapped, mapExt{FileBlk: fileBlk, Blk: ne.Start, Len: l, Val: extVal{slot: len(swapped)}})
 		fileBlk += l
 		if l < ne.Len {
 			fs.alloc.free(ctx, alloc.Extent{Start: ne.Start + l, Len: ne.Len - l})
 		}
 	}
-	ino.gen++
+	ino.ext.Reset(swapped)
 	err = nil
-	for i := range ino.extents {
+	for i := range swapped {
 		if err = fs.writeExtentSlot(ctx, tx, ino, i); err != nil {
 			break
 		}
@@ -237,9 +230,7 @@ func (fs *FS) rewriteFile(ctx *sim.Ctx, ino *inode, pacer *sim.Pacer) (done, ret
 		for _, ne := range newExts {
 			fs.alloc.free(ctx, ne)
 		}
-		ino.extents = old
-		ino.slots = oldSlots
-		ino.gen++
+		ino.ext.Reset(old)
 		return false, false
 	}
 	tx.commit()
@@ -277,9 +268,9 @@ func (fs *FS) readRangeLocked(ctx *sim.Ctx, ino *inode, p []byte, off int64) err
 		pos := off + int64(read)
 		blk := pos / BlockSize
 		in := pos % BlockSize
-		phys, run, ok := ino.findRun(blk)
+		phys, run, _, ok := ino.ext.Lookup(blk)
 		if !ok {
-			holeEnd := ino.nextExtentStart(blk, (off+int64(len(p))+BlockSize-1)/BlockSize) * BlockSize
+			holeEnd := ino.ext.NextStart(blk, (off+int64(len(p))+BlockSize-1)/BlockSize) * BlockSize
 			n := holeEnd - pos
 			if n > int64(len(p)-read) {
 				n = int64(len(p) - read)

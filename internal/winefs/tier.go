@@ -145,7 +145,7 @@ func (fs *FS) SetTierWaterMarks(high, low float64) {
 // blkAt returns the physical block backing fileBlk, or -1 when unbacked.
 // Caller holds ino.mu.
 func blkAt(ino *inode, fileBlk int64) int64 {
-	phys, _, ok := ino.findRun(fileBlk)
+	phys, _, _, ok := ino.ext.Lookup(fileBlk)
 	if !ok {
 		return -1
 	}
@@ -294,14 +294,9 @@ func (fs *FS) touchExtent(ino *inode, fileBlk int64) {
 	if fs.tier == nil {
 		return
 	}
-	exts := ino.extents
-	i := sort.Search(len(exts), func(i int) bool {
-		return exts[i].fileBlk+exts[i].length > fileBlk
-	})
-	if i == len(exts) || exts[i].fileBlk > fileBlk {
-		return
+	if i, ok := ino.ext.Find(fileBlk); ok {
+		atomic.AddInt64(&ino.ext.Val(i).heat, 1)
 	}
-	atomic.AddInt64(&exts[i].heat, 1)
 }
 
 // --- migration ---------------------------------------------------------------
@@ -368,10 +363,9 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 	for _, ino := range fs.snapshotInodes() {
 		ino.mu.RLock()
 		if ino.typ == typeFile {
-			for i := range ino.extents {
-				e := &ino.extents[i]
-				c := tierCand{ino: ino, fileBlk: e.fileBlk, length: e.length, heat: atomic.LoadInt64(&e.heat)}
-				if fs.isSlow(e.blk) {
+			for i, e := range ino.ext.All() {
+				c := tierCand{ino: ino, fileBlk: e.FileBlk, length: e.Len, heat: atomic.LoadInt64(&ino.ext.Val(i).heat)}
+				if fs.isSlow(e.Blk) {
 					slowCands = append(slowCands, c)
 				} else {
 					pmCands = append(pmCands, c)
@@ -561,8 +555,8 @@ func (fs *FS) TierPass(ctx *sim.Ctx, opt TierPassOptions) (TierPassStats, error)
 	// Age heat so the policy forgets last epoch's working set.
 	for _, ino := range fs.snapshotInodes() {
 		ino.mu.Lock()
-		for i := range ino.extents {
-			ino.extents[i].heat /= 2
+		for i := 0; i < ino.ext.Len(); i++ {
+			ino.ext.Val(i).heat /= 2
 		}
 		ino.mu.Unlock()
 	}
@@ -606,7 +600,7 @@ func (fs *FS) migrateRun(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bo
 // readers are hammering right now.
 func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toSlow bool, pacer *sim.Pacer) (int64, error) {
 	t := fs.tier
-	phys, run, found := ino.findRun(fileLo)
+	phys, run, _, found := ino.ext.Lookup(fileLo)
 	if !found || fs.isSlow(phys) == toSlow {
 		return 0, nil
 	}
@@ -670,24 +664,21 @@ func (fs *FS) migrateRunLocked(ctx *sim.Ctx, ino *inode, fileLo, want int64, toS
 // inode lock and ino.mu exclusively. Returns whether the block is now
 // PM-backed.
 func (fs *FS) promoteRunLocked(ctx *sim.Ctx, ino *inode, fileBlk int64) bool {
-	phys, _, found := ino.findRun(fileBlk)
+	phys, _, _, found := ino.ext.Lookup(fileBlk)
 	if !found || !fs.isSlow(phys) {
 		return found
 	}
 	// Walk back to the start of the slow extent so the whole extent (up
 	// to one hugepage) promotes at once; faulting page by page would
 	// shred it.
-	exts := ino.extents
-	i := sort.Search(len(exts), func(i int) bool {
-		return exts[i].fileBlk+exts[i].length > fileBlk
-	})
-	e := exts[i]
-	lo := e.fileBlk
+	i, _ := ino.ext.Find(fileBlk)
+	e := ino.ext.At(i)
+	lo := e.FileBlk
 	if fileBlk-lo >= BlocksPerHuge {
 		// Huge extent: promote the hugepage-sized piece containing fileBlk.
-		lo = e.fileBlk + (fileBlk-e.fileBlk)/BlocksPerHuge*BlocksPerHuge
+		lo = e.FileBlk + (fileBlk-e.FileBlk)/BlocksPerHuge*BlocksPerHuge
 	}
-	end := e.fileBlk + e.length
+	end := e.End()
 	if end > lo+BlocksPerHuge {
 		end = lo + BlocksPerHuge
 	}
@@ -701,7 +692,7 @@ func (fs *FS) promoteRunLocked(ctx *sim.Ctx, ino *inode, fileBlk int64) bool {
 		cur += moved
 	}
 	ctx.Counters.TierFaultPromotions++
-	phys, _, found = ino.findRun(fileBlk)
+	phys, _, _, found = ino.ext.Lookup(fileBlk)
 	return found && !fs.isSlow(phys)
 }
 
@@ -717,9 +708,9 @@ func (fs *FS) rebuildSlowPool() {
 	t.pool.Reset()
 	for _, ino := range fs.snapshotInodes() {
 		ino.mu.RLock()
-		for _, e := range ino.extents {
-			if fs.isSlow(e.blk) {
-				t.pool.MarkUsed(e.blk, e.length)
+		for _, e := range ino.ext.All() {
+			if fs.isSlow(e.Blk) {
+				t.pool.MarkUsed(e.Blk, e.Len)
 			}
 		}
 		ino.mu.RUnlock()

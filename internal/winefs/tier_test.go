@@ -47,11 +47,11 @@ func inoOf(t *testing.T, ctx *sim.Ctx, fs *FS, path string) *inode {
 func slowBlocksOf(fs *FS, ino *inode) (slow, pm int64) {
 	ino.mu.RLock()
 	defer ino.mu.RUnlock()
-	for _, e := range ino.extents {
-		if fs.isSlow(e.blk) {
-			slow += e.length
+	for _, e := range ino.ext.All() {
+		if fs.isSlow(e.Blk) {
+			slow += e.Len
 		} else {
-			pm += e.length
+			pm += e.Len
 		}
 	}
 	return
