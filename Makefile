@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race vet bench bench-engine bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race defrag-race tier-race cluster-race fault-campaign cluster-campaign serve-smoke profile
+.PHONY: all build test check fmt race vet bench bench-engine bench-json bench-scaling bench-cache bench-replicated bench-mmap bench-defrag bench-tier cache-race mmap-race defrag-race tier-race cluster-race fault-campaign cluster-campaign serve-smoke profile
 
 all: build
 
@@ -13,14 +13,20 @@ test: build
 vet:
 	$(GO) vet ./...
 
+# fmt fails, listing the files, when any Go source in the checkout (git's
+# tracked and untracked-but-not-ignored files) is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
+
 # The experiments package replays whole paper figures and needs well over
 # the default 10m per-package limit under the race detector.
 race:
 	$(GO) test -race -timeout 45m ./...
 
-# check is the pre-merge gate: static analysis, the full suite under the
-# race detector, and the plain tier-1 build+test pass.
-check: vet race test
+# check is the pre-merge gate: formatting, static analysis, the full
+# suite under the race detector, and the plain tier-1 build+test pass.
+check: fmt vet race test
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -33,9 +39,11 @@ bench:
 # charge-for-charge equivalence of msync/fault with the old linear walks,
 # and BenchmarkMsyncFragmented/BenchmarkPrefaultFragmented on a
 # 6144-extent file, which fail if either path goes back to O(n).
+# TestMappingReadAllocationFree fails if a small mapped read into a stack
+# array allocates again.
 bench-engine:
 	$(GO) test -run 'TestEngineDeterminismGolden|TestChargeAmountsPerOp|TestUseQuantaEquivalence' -race ./internal/workloads/ ./internal/pmem/ ./internal/sim/
-	$(GO) test -run 'TestMapMatchesReference|TestExtentMapMatchesLinearWalk|TestMsyncAllocationFree|TestLookupMatchesLinearReference' ./internal/extmap/ ./internal/fsbase/ ./internal/mmu/
+	$(GO) test -run 'TestMapMatchesReference|TestExtentMapMatchesLinearWalk|TestMsyncAllocationFree|TestMappingReadAllocationFree|TestLookupMatchesLinearReference' ./internal/extmap/ ./internal/fsbase/ ./internal/vmm/ ./internal/mmu/
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mmu/ ./internal/pmem/ ./internal/extmap/ ./internal/fsbase/
 
 # Machine-readable serving baseline: runs the -server bench, writes
@@ -116,9 +124,11 @@ cache-race:
 	$(GO) test -race -run 'TestCache|TestLease|TestRevoke|TestTwoSession|TestHit|TestDirty|TestLRU|TestCanonical|TestDenied|TestClose' ./internal/pagecache/ ./internal/fileserver/
 
 # The mmap subsystem under the race detector: the 8-thread shared-mapping
-# storm with concurrent truncation (TestMmapRace8Threads), the
-# truncate/unlink/punch invalidation tests, the vmm unit tests and the
-# mapping/lease coherence tests on both the client cache and the server.
+# storm with concurrent truncation (TestMmapRace8Threads), lock-free mapped
+# reads against shootdowns, promotions, window slides and Close
+# (TestMmapFastPathShootdown), the truncate/unlink/punch invalidation
+# tests, the vmm unit tests and the mapping/lease coherence tests on both
+# the client cache and the server.
 mmap-race:
 	$(GO) test -race -run 'TestMmap|TestServerMapRevokesClientLease|TestRemoteMapNotSupported|TestReadOnlyMapping|TestPrivateMapping|TestShared|TestSync|TestCloseFlushes|TestWindowed|TestMapPath|TestMapRequires' ./internal/vmm/ ./internal/winefs/ ./internal/pagecache/ ./internal/fileserver/
 

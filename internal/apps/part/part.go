@@ -270,8 +270,8 @@ func (t *Tree) findChild(ctx *sim.Ctx, node int64, kind byte, b byte) (int64, in
 		if err != nil {
 			return 0, 0, err
 		}
-		keys := make([]byte, n)
-		if err := t.m.Read(ctx, keys, node+8); err != nil {
+		var keys [16]byte
+		if err := t.m.Read(ctx, keys[:n], node+8); err != nil {
 			return 0, 0, err
 		}
 		for i := 0; i < count; i++ {

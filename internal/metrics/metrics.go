@@ -181,65 +181,42 @@ func CountersFamilies(prefix string, c *perf.Counters) []Family {
 // stable names dashboards alert on, independent of whatever prefix the
 // embedding server uses for the full counter dump.
 func VMMFamilies(c *perf.Counters) []Family {
-	fields := c.Fields()
-	out := make([]Family, 0, 9)
-	for _, f := range fields {
-		if !strings.HasPrefix(f.Name, "VMM") {
-			continue
-		}
-		out = append(out, Family{
-			Name:    SnakeCase(f.Name) + "_total",
-			Help:    "Zero-copy mapping subsystem: perf.Counters." + f.Name + ".",
-			Type:    "counter",
-			Samples: []Sample{{Value: float64(f.Value)}},
-		})
-	}
-	return out
+	return prefixFamilies(c, "Zero-copy mapping subsystem", "VMM")
 }
 
 // DefragFamilies renders the online defragmenter's counters (the
 // perf.Counters Defrag* fields) as canonically named defrag_* families:
 // defrag_passes_total, defrag_recovered2m_total, … — same contract as
-// VMMFamilies, so dashboards can alert on stable names regardless of the
-// embedding server's counter-dump prefix.
+// VMMFamilies.
 func DefragFamilies(c *perf.Counters) []Family {
-	fields := c.Fields()
-	out := make([]Family, 0, 10)
-	for _, f := range fields {
-		if !strings.HasPrefix(f.Name, "Defrag") {
-			continue
-		}
-		out = append(out, Family{
-			Name:    SnakeCase(f.Name) + "_total",
-			Help:    "Online defragmenter: perf.Counters." + f.Name + ".",
-			Type:    "counter",
-			Samples: []Sample{{Value: float64(f.Value)}},
-		})
-	}
-	return out
+	return prefixFamilies(c, "Online defragmenter", "Defrag")
 }
 
 // TierFamilies renders the tiered-storage counters (the perf.Counters
 // Tier*, Slow* and AllocSpill* fields) as canonically named families:
 // tier_passes_total, tier_demoted_blocks_total, slow_read_bytes_total,
-// alloc_spill_extents_total, … — same contract as VMMFamilies, so
-// dashboards can alert on stable names regardless of the embedding
-// server's counter-dump prefix.
+// alloc_spill_extents_total, … — same contract as VMMFamilies.
 func TierFamilies(c *perf.Counters) []Family {
-	fields := c.Fields()
-	out := make([]Family, 0, 12)
-	for _, f := range fields {
-		if !strings.HasPrefix(f.Name, "Tier") &&
-			!strings.HasPrefix(f.Name, "Slow") &&
-			!strings.HasPrefix(f.Name, "AllocSpill") {
-			continue
+	return prefixFamilies(c, "Tiered storage", "Tier", "Slow", "AllocSpill")
+}
+
+// prefixFamilies renders, in field order, every perf counter whose name
+// starts with one of prefixes as a family named <snake_case_field>_total
+// with help text "<help>: perf.Counters.<field>.".
+func prefixFamilies(c *perf.Counters, help string, prefixes ...string) []Family {
+	var out []Family
+	for _, f := range c.Fields() {
+		for _, p := range prefixes {
+			if strings.HasPrefix(f.Name, p) {
+				out = append(out, Family{
+					Name:    SnakeCase(f.Name) + "_total",
+					Help:    help + ": perf.Counters." + f.Name + ".",
+					Type:    "counter",
+					Samples: []Sample{{Value: float64(f.Value)}},
+				})
+				break
+			}
 		}
-		out = append(out, Family{
-			Name:    SnakeCase(f.Name) + "_total",
-			Help:    "Tiered storage: perf.Counters." + f.Name + ".",
-			Type:    "counter",
-			Samples: []Sample{{Value: float64(f.Value)}},
-		})
 	}
 	return out
 }

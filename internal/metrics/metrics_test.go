@@ -135,3 +135,66 @@ func TestFormatValue(t *testing.T) {
 		t.Errorf("formatValue(2^50) = %q: %v", formatValue(big), err)
 	}
 }
+
+// TestPrefixFamiliesMatchOriginals: VMMFamilies, DefragFamilies and
+// TierFamilies share one prefix filter; on a counters value with every
+// field set, each must render exactly the /metrics text of the
+// hand-written filter it replaced (kept here as the reference).
+func TestPrefixFamiliesMatchOriginals(t *testing.T) {
+	c := &perf.Counters{}
+	cv := reflect.ValueOf(c).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).SetInt(int64(1000 + i))
+	}
+	reference := func(help string, match func(string) bool) []Family {
+		var out []Family
+		for _, f := range c.Fields() {
+			if !match(f.Name) {
+				continue
+			}
+			out = append(out, Family{
+				Name:    SnakeCase(f.Name) + "_total",
+				Help:    help + ": perf.Counters." + f.Name + ".",
+				Type:    "counter",
+				Samples: []Sample{{Value: float64(f.Value)}},
+			})
+		}
+		return out
+	}
+	render := func(fams []Family) string {
+		r := NewRegistry()
+		r.Register(CollectorFunc(func() []Family { return fams }))
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	prefix := func(ps ...string) func(string) bool {
+		return func(name string) bool {
+			for _, p := range ps {
+				if strings.HasPrefix(name, p) {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		got  []Family
+		want []Family
+	}{
+		{"vmm", VMMFamilies(c), reference("Zero-copy mapping subsystem", prefix("VMM"))},
+		{"defrag", DefragFamilies(c), reference("Online defragmenter", prefix("Defrag"))},
+		{"tier", TierFamilies(c), reference("Tiered storage", prefix("Tier", "Slow", "AllocSpill"))},
+	} {
+		got, want := render(tc.got), render(tc.want)
+		if len(tc.want) == 0 {
+			t.Errorf("%s: reference exports nothing", tc.name)
+		}
+		if got != want {
+			t.Errorf("%s families differ:\n got:\n%s\n want:\n%s", tc.name, got, want)
+		}
+	}
+}

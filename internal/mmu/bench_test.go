@@ -22,24 +22,12 @@ func BenchmarkAssocTouch(b *testing.B) {
 
 // BenchmarkAssocTouchRun charges a 64-line run (one 4KiB page of cache
 // lines) per iteration — the unit the batched access path hands to the
-// LLC. Compare against 64 individual touch calls: the run takes the set
-// lock once instead of 64 times.
+// LLC under one hold of the cache-model lock.
 func BenchmarkAssocTouchRun(b *testing.B) {
 	a := newAssoc(8<<20/64, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.touchRun(uint64(i&7)*64, 64)
-	}
-}
-
-func BenchmarkAssocTouchLoop64(b *testing.B) {
-	a := newAssoc(8<<20/64, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		base := uint64(i&7) * 64
-		for j := uint64(0); j < 64; j++ {
-			a.touch(base + j)
-		}
 	}
 }
 
@@ -69,6 +57,35 @@ func BenchmarkMappingFault(b *testing.B) {
 // fine path (not the streaming path) runs.
 func BenchmarkMappingRead1K(b *testing.B) {
 	benchMappingAccess(b, false, false)
+}
+
+// BenchmarkMappingRead8Huge and BenchmarkMappingRead8Base are the
+// P-ART-shaped load: one 8-byte read into a stack array on a warm
+// hugepage or base-page mapping. Both must report 0 allocs/op — the
+// buffer stays on the caller's stack.
+func BenchmarkMappingRead8Huge(b *testing.B) {
+	benchMappingRead8(b, Extent{0, 0, 64 << 20})
+}
+
+func BenchmarkMappingRead8Base(b *testing.B) {
+	benchMappingRead8(b, Extent{0, BasePage, 64 << 20})
+}
+
+func benchMappingRead8(b *testing.B, e Extent) {
+	_, as := newEnv(128 << 20)
+	m := as.NewMapping(64<<20, &testHandler{extents: []Extent{e}})
+	ctx := sim.NewCtx(1, 0)
+	if err := m.Prefault(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var buf [8]byte
+		if err := m.Read(ctx, buf[:], int64(i&4095)*4104); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkMappingWrite1K(b *testing.B) {

@@ -123,9 +123,13 @@ type AddressSpace struct {
 	dev   *pmem.Device
 	model *pmem.CostModel
 
-	tlb4k *assoc
-	tlb2m *assoc
-	llc   *assoc
+	// cacheMu guards the cache model: both TLBs and the LLC. An access
+	// takes it once per translation run, around the TLB lookup, the page
+	// walk's LLC touches and the run's data-line touches together.
+	cacheMu sync.Mutex
+	tlb4k   *assoc
+	tlb2m   *assoc
+	llc     *assoc
 
 	// Exact forces the reference per-cache-line accounting loop instead of
 	// the batched run accounting. Both produce bit-identical virtual-time
@@ -153,12 +157,18 @@ func NewAddressSpace(dev *pmem.Device) *AddressSpace {
 
 // FlushTLB empties both TLBs (e.g. after munmap or for experiment setup).
 func (as *AddressSpace) FlushTLB() {
+	as.cacheMu.Lock()
 	as.tlb4k.flushAll()
 	as.tlb2m.flushAll()
+	as.cacheMu.Unlock()
 }
 
 // FlushCache empties the LLC simulation.
-func (as *AddressSpace) FlushCache() { as.llc.flushAll() }
+func (as *AddressSpace) FlushCache() {
+	as.cacheMu.Lock()
+	as.llc.flushAll()
+	as.cacheMu.Unlock()
+}
 
 // Mapping is one mmap'ed file region.
 type Mapping struct {
@@ -169,17 +179,23 @@ type Mapping struct {
 	va      int64
 	length  int64
 
+	// mu serialises the page-table writers: faults installing a
+	// translation, PromoteChunk and Invalidate. Lookups read chunks
+	// without it.
 	mu     sync.Mutex
 	chunks []chunk
 
 	// shootMu and shootGen are the wait-for-in-flight-accesses half of a
-	// TLB shootdown. Accesses resolve a translation under mu, then touch
-	// the device outside it; Invalidate bumps shootGen and takes shootMu
-	// exclusively, so it cannot return while an access that resolved
-	// against the old page tables is still moving bytes — the model of a
-	// shootdown IPI waiting for every core's acknowledgement. Without it
-	// the caller could free and recycle the displaced blocks under a
-	// still-running access.
+	// TLB shootdown. An access loads shootGen, then resolves its
+	// translation from the chunk state, then touches the device under the
+	// read side of shootMu after rechecking the generation. Invalidate
+	// clears the chunk state, then bumps shootGen, then takes shootMu
+	// exclusively. An access that read the old state therefore read the
+	// old generation too: it either fails the recheck and re-resolves, or
+	// holds the read side, and Invalidate cannot return while it is moving
+	// bytes — the model of a shootdown IPI waiting for every core's
+	// acknowledgement. Without it the caller could free and recycle the
+	// displaced blocks under a still-running access.
 	shootMu  sync.RWMutex
 	shootGen atomic.Uint64
 
@@ -191,10 +207,10 @@ type Mapping struct {
 }
 
 // chunk tracks the mapping state of one 2MiB-aligned slice of the file.
+// Lookups read it with atomic loads; writers hold Mapping.mu.
 type chunk struct {
-	huge     bool
-	hugePhys int64
-	pages    []int64 // lazily allocated; phys+1 per 4KiB page, 0 = unmapped
+	huge  atomic.Int64                               // hugepage phys+1; 0 = not huge
+	pages atomic.Pointer[[PagesPerHuge]atomic.Int64] // lazily allocated; phys+1 per 4KiB page, 0 = unmapped
 }
 
 // NewMapping memory-maps length bytes of a file whose faults are served by
@@ -230,13 +246,15 @@ func (m *Mapping) MappedPages() (base, huge int) {
 	defer m.mu.Unlock()
 	for i := range m.chunks {
 		c := &m.chunks[i]
-		if c.huge {
+		if c.huge.Load() != 0 {
 			huge++
 			continue
 		}
-		for _, p := range c.pages {
-			if p != 0 {
-				base++
+		if pages := c.pages.Load(); pages != nil {
+			for j := range pages {
+				if pages[j].Load() != 0 {
+					base++
+				}
 			}
 		}
 	}
@@ -276,13 +294,12 @@ func (m *Mapping) PromoteChunk(ctx *sim.Ctx, off, phys int64) bool {
 	}
 	m.mu.Lock()
 	c := &m.chunks[int(off/HugePage)]
-	if c.huge {
+	if c.huge.Load() != 0 {
 		m.mu.Unlock()
 		return false
 	}
-	c.huge = true
-	c.hugePhys = phys
-	c.pages = nil
+	c.huge.Store(phys + 1)
+	c.pages.Store(nil)
 	m.mu.Unlock()
 	// The collapse swaps up to 512 PTEs for one PMD: stale base-page
 	// translations must leave the TLB, and installing the PMD costs one
@@ -294,8 +311,8 @@ func (m *Mapping) PromoteChunk(ctx *sim.Ctx, off, phys int64) bool {
 	return true
 }
 
-// pageState resolves the mapping state for the page containing off.
-// Returns the chunk index and base-page index within the chunk.
+// locate returns the chunk index of the page containing off and the
+// page's base-page index within that chunk.
 func (m *Mapping) locate(off int64) (ci int, pi int) {
 	return int(off / HugePage), int(off % HugePage / BasePage)
 }
@@ -303,25 +320,22 @@ func (m *Mapping) locate(off int64) (ci int, pi int) {
 // ensureMapped guarantees the page containing off is mapped, taking a
 // fault if needed. Returns the physical address of byte off, whether the
 // translation is a hugepage, and the shootdown generation the translation
-// was read under — devAccess revalidates against it before touching the
-// device, since an Invalidate may land between resolution and access.
+// was read under — devRead/devWrite revalidate against it before touching
+// the device, since an Invalidate may land between resolution and access.
+// A mapped page is resolved without a lock: the generation is loaded
+// before the chunk state (see shootMu).
 func (m *Mapping) ensureMapped(ctx *sim.Ctx, off int64) (phys int64, huge bool, gen uint64, err error) {
 	ci, pi := m.locate(off)
-	m.mu.Lock()
 	c := &m.chunks[ci]
-	if c.huge {
-		phys := c.hugePhys + off%HugePage
-		gen := m.shootGen.Load()
-		m.mu.Unlock()
-		return phys, true, gen, nil
+	gen = m.shootGen.Load()
+	if h := c.huge.Load(); h != 0 {
+		return h - 1 + off%HugePage, true, gen, nil
 	}
-	if c.pages != nil && c.pages[pi] != 0 {
-		phys := c.pages[pi] - 1 + off%BasePage
-		gen := m.shootGen.Load()
-		m.mu.Unlock()
-		return phys, false, gen, nil
+	if pages := c.pages.Load(); pages != nil {
+		if p := pages[pi].Load(); p != 0 {
+			return p - 1 + off%BasePage, false, gen, nil
+		}
 	}
-	m.mu.Unlock()
 
 	// Page fault. The handler may allocate and zero; its costs accrue to ctx.
 	sp := ctx.StartSpan("mmu.fault")
@@ -335,52 +349,177 @@ func (m *Mapping) ensureMapped(ctx *sim.Ctx, off int64) (phys int64, huge bool, 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	gen = m.shootGen.Load()
-	c = &m.chunks[ci]
 	if res.Huge {
-		if !c.huge {
-			c.huge = true
-			c.hugePhys = res.Phys
-			c.pages = nil
+		if c.huge.Load() == 0 {
+			c.huge.Store(res.Phys + 1)
+			c.pages.Store(nil)
 			ctx.Counters.HugeFaults++
 			ctx.Counters.FaultNS += m.model.HugeFaultNS
 			ctx.Advance(m.model.HugeFaultNS)
 		}
-		return c.hugePhys + off%HugePage, true, gen, nil
+		return c.huge.Load() - 1 + off%HugePage, true, gen, nil
 	}
-	if c.pages == nil {
-		c.pages = make([]int64, PagesPerHuge)
+	pages := c.pages.Load()
+	if pages == nil {
+		pages = new([PagesPerHuge]atomic.Int64)
+		c.pages.Store(pages)
 	}
-	if c.pages[pi] == 0 {
-		c.pages[pi] = res.Phys + 1
+	if pages[pi].Load() == 0 {
+		pages[pi].Store(res.Phys + 1)
 		ctx.Counters.PageFaults++
 		ctx.Counters.FaultNS += m.model.BaseFaultNS
 		ctx.Advance(m.model.BaseFaultNS)
 	}
-	return c.pages[pi] - 1 + off%BasePage, false, gen, nil
+	return pages[pi].Load() - 1 + off%BasePage, false, gen, nil
 }
 
-// devAccess moves bytes against a translation resolved by ensureMapped,
-// holding the shootdown read-lock for the duration. Returns false without
-// touching the device when the translation went stale (an Invalidate ran
-// since resolution) — the caller re-resolves and retries. The accounting
-// for the granule is charged only after the access succeeds, so a retry
-// never double-charges.
-func (m *Mapping) devAccess(p []byte, phys int64, gen uint64, write bool) bool {
+// accessPath selects how an access is split into runs and charged.
+type accessPath uint8
+
+const (
+	// pathFine is the cache-line-accurate path for small accesses,
+	// batched by translation granule (see charge).
+	pathFine accessPath = iota
+	// pathExact is the reference per-cache-line loop (AddressSpace.Exact):
+	// every line pays its own translation lookup, LLC touch and device
+	// segment. pathFine must stay bit-identical to it.
+	pathExact
+	// pathStream is the bulk path: per-granule translation costs plus
+	// streaming copy bandwidth, without per-line cache simulation.
+	pathStream
+)
+
+const streamThreshold = 2048
+
+// pathFor range-checks an n-byte access at off and picks its path: small
+// accesses (< 2KiB) model each cache line, larger ones stream.
+func (m *Mapping) pathFor(off, n int64) (accessPath, error) {
+	switch {
+	case off < 0 || off+n > m.length:
+		return 0, ErrOutOfRange
+	case n >= streamThreshold:
+		return pathStream, nil
+	case m.as.Exact:
+		return pathExact, nil
+	}
+	return pathFine, nil
+}
+
+// run is one piece of an access that shares a translation: n bytes at
+// physical address phys, resolved under shootdown generation gen.
+type run struct {
+	phys, n int64
+	huge    bool
+	gen     uint64
+}
+
+// resolve translates mapping offset pos, faulting if needed, and returns
+// the run starting there: at most rem bytes, ending at the translation
+// granule's end (or, on pathExact, the cache line's end).
+func (m *Mapping) resolve(ctx *sim.Ctx, pos, rem int64, path accessPath) (run, error) {
+	phys, huge, gen, err := m.ensureMapped(ctx, pos)
+	if err != nil {
+		return run{}, err
+	}
+	var k int64
+	if path == pathExact {
+		k = (phys/pmem.CacheLine+1)*pmem.CacheLine - phys
+	} else {
+		granule := int64(BasePage)
+		if huge {
+			granule = HugePage
+		}
+		k = (pos/granule+1)*granule - pos
+	}
+	return run{phys: phys, n: min(k, rem), huge: huge, gen: gen}, nil
+}
+
+// devRead copies r's bytes from the device into p, holding the shootdown
+// read lock for the duration. Returns false without touching the device
+// when the translation went stale (an Invalidate ran since resolution) —
+// the caller re-resolves and retries. Costs are charged only after the
+// access succeeds, so a retry never double-charges. Reads and writes
+// take separate functions so a load's buffer never reaches the store
+// path, which retains its argument; that keeps callers' read buffers off
+// the heap.
+func (m *Mapping) devRead(p []byte, r run) bool {
 	m.shootMu.RLock()
 	defer m.shootMu.RUnlock()
-	if m.shootGen.Load() != gen {
+	if m.shootGen.Load() != r.gen {
 		return false
 	}
-	if write {
-		m.dev.WriteAt(p, phys)
-	} else {
-		m.dev.ReadAt(p, phys)
-	}
+	m.dev.ReadAt(p, r.phys)
 	return true
 }
 
+// devWrite is devRead's store counterpart.
+func (m *Mapping) devWrite(p []byte, r run) bool {
+	m.shootMu.RLock()
+	defer m.shootMu.RUnlock()
+	if m.shootGen.Load() != r.gen {
+		return false
+	}
+	m.dev.WriteAt(p, r.phys)
+	return true
+}
+
+// charge books the costs of run r of an access at mapping offset pos:
+// the translation, then the data lines (pathFine, pathExact) or the
+// streaming copy (pathStream). The TLB and LLC work of one run happens
+// under a single hold of the address space's cache-model lock.
+//
+// pathFine charges a whole translation granule at once and is
+// bit-identical to pathExact's per-line runs because every batch step is
+// an exact algebraic collapse of the per-line loop:
+//
+//   - All lines inside one granule share a translation: after the first
+//     line's ensureMapped the page cannot unmap mid-run, and repeat lookups
+//     return the same phys with no cost, so one call suffices.
+//   - All lines inside one granule share one TLB key. The first translate
+//     inserts/promotes it to MRU; every later line's touch would hit the
+//     MRU way, which moves nothing — so TLB state is unchanged and the
+//     hits are counted arithmetically.
+//   - The LLC sees the same touch sequence in the same order: (on a TLB
+//     miss) pte line, pmd line, then data lines first..last via touchRun.
+//     Per-line hit/miss costs are summed into one Advance — int64
+//     addition commutes.
+//   - The device sees one ReadAt/WriteAt covering the run instead of one
+//     per line; bytes and offsets are identical (phys is contiguous within
+//     a granule). Only crash-trace record granularity could differ, and
+//     the fine path is not used while crash tracing is armed.
+func (m *Mapping) charge(ctx *sim.Ctx, pos int64, r run, path accessPath, write bool) {
+	as := m.as
+	as.cacheMu.Lock()
+	m.translate(ctx, pos, r.huge)
+	switch path {
+	case pathStream:
+		as.cacheMu.Unlock()
+		m.chargeStream(ctx, r.phys, r.n, write)
+		return
+	case pathExact:
+		m.dataLine(ctx, r.phys, write)
+		as.cacheMu.Unlock()
+		return
+	}
+	firstLine := r.phys / pmem.CacheLine
+	nLines := (r.phys+r.n-1)/pmem.CacheLine - firstLine + 1
+	hits := int64(as.llc.touchRun(uint64(firstLine), int(nLines)))
+	as.cacheMu.Unlock()
+	ctx.Counters.TLBHits += nLines - 1
+	if write {
+		ctx.Counters.PMWriteBytes += nLines * pmem.CacheLine
+		ctx.Advance(nLines * m.model.WriteLat64)
+		return
+	}
+	misses := nLines - hits
+	ctx.Counters.LLCHits += hits
+	ctx.Counters.LLCMisses += misses
+	ctx.Counters.PMReadBytes += misses * pmem.CacheLine
+	ctx.Advance(hits*m.model.LLCHitNS + misses*m.model.ReadLat64)
+}
+
 // translate charges TLB/page-walk costs for accessing the page containing
-// virtual offset off, given its mapping kind.
+// virtual offset off, given its mapping kind. Caller holds as.cacheMu.
 func (m *Mapping) translate(ctx *sim.Ctx, off int64, huge bool) {
 	var key uint64
 	var tlb *assoc
@@ -440,6 +579,7 @@ func pmdLineKey(vpn uint64, huge bool) uint64 {
 // dataLine charges cache/memory costs for touching the 64B line at phys.
 // Loads that miss the LLC pay the PM read latency; stores are posted
 // (write-combining) and pay the PM write latency without allocating.
+// Caller holds as.cacheMu.
 func (m *Mapping) dataLine(ctx *sim.Ctx, phys int64, write bool) {
 	if write {
 		ctx.Advance(m.model.WriteLat64)
@@ -459,180 +599,63 @@ func (m *Mapping) dataLine(ctx *sim.Ctx, phys int64, write bool) {
 }
 
 // Read copies n = len(p) bytes at mapping offset off into p, simulating
-// the full load path. Small accesses (< 2KiB) model each cache line;
-// larger ones use the streaming path.
+// the full load path. p does not escape.
 func (m *Mapping) Read(ctx *sim.Ctx, p []byte, off int64) error {
-	return m.access(ctx, p, off, false)
+	path, err := m.pathFor(off, int64(len(p)))
+	if err != nil {
+		return err
+	}
+	for pos, rem := off, p; len(rem) > 0; {
+		r, err := m.resolve(ctx, pos, int64(len(rem)), path)
+		if err != nil {
+			return err
+		}
+		if !m.devRead(rem[:r.n], r) {
+			continue // shot down since resolution: re-fault this run
+		}
+		m.charge(ctx, pos, r, path, false)
+		rem = rem[r.n:]
+		pos += r.n
+	}
+	return nil
 }
 
 // Write stores p at mapping offset off, simulating the full store path.
 func (m *Mapping) Write(ctx *sim.Ctx, p []byte, off int64) error {
-	return m.access(ctx, p, off, true)
-}
-
-const streamThreshold = 2048
-
-func (m *Mapping) access(ctx *sim.Ctx, p []byte, off int64, write bool) error {
-	n := int64(len(p))
-	if off < 0 || off+n > m.length {
-		return ErrOutOfRange
+	path, err := m.pathFor(off, int64(len(p)))
+	if err != nil {
+		return err
 	}
-	if n == 0 {
-		return nil
-	}
-	if n >= streamThreshold {
-		return m.stream(ctx, p, off, write)
-	}
-	if m.as.Exact {
-		return m.accessFineExact(ctx, p, off, write)
-	}
-	return m.accessFine(ctx, p, off, write)
-}
-
-// accessFine is the cache-line-accurate path for small accesses, batched by
-// translation granule. It is bit-identical to accessFineExact because every
-// batch step is an exact algebraic collapse of the per-line loop:
-//
-//   - All lines inside one granule share a translation: after the first
-//     line's ensureMapped the page cannot unmap mid-run, and repeat lookups
-//     return the same phys with no cost, so one call suffices.
-//   - All lines inside one granule share one TLB key. The first translate
-//     inserts/promotes it to MRU; every later line's touch would hit the
-//     MRU way, which moves nothing — so TLB state is unchanged and the
-//     hits are counted arithmetically.
-//   - The LLC sees the same touch sequence in the same order: (on a TLB
-//     miss) pte line, pmd line, then data lines first..last, only under one
-//     lock via touchRun instead of n. Per-line hit/miss costs are summed
-//     into one Advance — int64 addition commutes.
-//   - The device sees one ReadAt/WriteAt covering the run instead of one
-//     per line; bytes and offsets are identical (phys is contiguous within
-//     a granule). Only crash-trace record granularity could differ, and
-//     the fine path is not used while crash tracing is armed.
-func (m *Mapping) accessFine(ctx *sim.Ctx, p []byte, off int64, write bool) error {
-	pos := off
-	rem := p
-	for len(rem) > 0 {
-		phys, huge, gen, err := m.ensureMapped(ctx, pos)
+	for pos, rem := off, p; len(rem) > 0; {
+		r, err := m.resolve(ctx, pos, int64(len(rem)), path)
 		if err != nil {
 			return err
 		}
-		granule := int64(BasePage)
-		if huge {
-			granule = HugePage
+		if !m.devWrite(rem[:r.n], r) {
+			continue // shot down since resolution: re-fault this run
 		}
-		granEnd := (pos/granule + 1) * granule
-		k := granEnd - pos
-		if k > int64(len(rem)) {
-			k = int64(len(rem))
-		}
-		if !m.devAccess(rem[:k], phys, gen, write) {
-			continue // shot down since resolution: re-fault this granule
-		}
-		m.translate(ctx, pos, huge)
-		firstLine := phys / pmem.CacheLine
-		nLines := (phys+k-1)/pmem.CacheLine - firstLine + 1
-		ctx.Counters.TLBHits += nLines - 1
-		hits := int64(m.as.llc.touchRun(uint64(firstLine), int(nLines)))
-		if write {
-			ctx.Counters.PMWriteBytes += nLines * pmem.CacheLine
-			ctx.Advance(nLines * m.model.WriteLat64)
-		} else {
-			misses := nLines - hits
-			ctx.Counters.LLCHits += hits
-			ctx.Counters.LLCMisses += misses
-			ctx.Counters.PMReadBytes += misses * pmem.CacheLine
-			ctx.Advance(hits*m.model.LLCHitNS + misses*m.model.ReadLat64)
-		}
-		rem = rem[k:]
-		pos += k
+		m.charge(ctx, pos, r, path, true)
+		rem = rem[r.n:]
+		pos += r.n
 	}
 	return nil
 }
 
-// accessFineExact is the reference per-cache-line loop: every line pays its
-// own translation lookup, LLC touch and device segment. accessFine must
-// stay bit-identical to this.
-func (m *Mapping) accessFineExact(ctx *sim.Ctx, p []byte, off int64, write bool) error {
-	pos := off
-	rem := p
-	for len(rem) > 0 {
-		phys, huge, gen, err := m.ensureMapped(ctx, pos)
-		if err != nil {
-			return err
-		}
-		// Bytes until end of this cache line.
-		lineEnd := (phys/pmem.CacheLine + 1) * pmem.CacheLine
-		k := lineEnd - phys
-		if k > int64(len(rem)) {
-			k = int64(len(rem))
-		}
-		if !m.devAccess(rem[:k], phys, gen, write) {
-			continue // shot down since resolution: re-fault this line
-		}
-		m.translate(ctx, pos, huge)
-		m.dataLine(ctx, phys, write)
-		rem = rem[k:]
-		pos += k
-	}
-	return nil
-}
-
-// stream is the bulk path: per-page translation costs plus streaming
-// copy bandwidth, without per-line cache simulation.
-func (m *Mapping) stream(ctx *sim.Ctx, p []byte, off int64, write bool) error {
-	pos := off
-	rem := p
-	for len(rem) > 0 {
-		phys, huge, gen, err := m.ensureMapped(ctx, pos)
-		if err != nil {
-			return err
-		}
-		// Run to the end of the current translation granule.
-		granule := int64(BasePage)
-		if huge {
-			granule = HugePage
-		}
-		granEnd := (pos/granule + 1) * granule
-		k := granEnd - pos
-		if k > int64(len(rem)) {
-			k = int64(len(rem))
-		}
-		if !m.devAccess(rem[:k], phys, gen, write) {
-			continue // shot down since resolution: re-fault this granule
-		}
-		m.translate(ctx, pos, huge)
-		m.chargeStream(ctx, phys, k, write)
-		rem = rem[k:]
-		pos += k
-	}
-	return nil
-}
-
-// Touch performs the cost accounting of Read/Write without moving bytes.
-// Bandwidth-oriented experiments use it to keep host time reasonable.
+// Touch performs the cost accounting of Read/Write without moving bytes,
+// always on the streaming path. Bandwidth-oriented experiments use it to
+// keep host time reasonable.
 func (m *Mapping) Touch(ctx *sim.Ctx, off, n int64, write bool) error {
 	if off < 0 || off+n > m.length {
 		return ErrOutOfRange
 	}
-	pos := off
-	for n > 0 {
-		phys, huge, _, err := m.ensureMapped(ctx, pos)
+	for pos, rem := off, n; rem > 0; {
+		r, err := m.resolve(ctx, pos, rem, pathStream)
 		if err != nil {
 			return err
 		}
-		m.translate(ctx, pos, huge)
-		granule := int64(BasePage)
-		if huge {
-			granule = HugePage
-		}
-		granEnd := (pos/granule + 1) * granule
-		k := granEnd - pos
-		if k > n {
-			k = n
-		}
-		m.chargeStream(ctx, phys, k, write)
-		pos += k
-		n -= k
+		m.charge(ctx, pos, r, pathStream, write)
+		pos += r.n
+		rem -= r.n
 	}
 	return nil
 }
@@ -670,8 +693,11 @@ func (m *Mapping) chargeBW(ctx *sim.Ctx, phys, n int64, write bool) {
 // whole-TLB flush is the conservative model of an invlpg storm).
 func (m *Mapping) Invalidate() {
 	m.mu.Lock()
+	// State first, generation second: a lock-free lookup that still sees
+	// an old translation loaded the old generation before it (see shootMu).
 	for i := range m.chunks {
-		m.chunks[i] = chunk{}
+		m.chunks[i].huge.Store(0)
+		m.chunks[i].pages.Store(nil)
 	}
 	m.shootGen.Add(1)
 	m.mu.Unlock()

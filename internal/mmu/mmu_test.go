@@ -2,6 +2,7 @@ package mmu
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/pmem"
@@ -305,6 +306,66 @@ func TestAssocLRU(t *testing.T) {
 	a.flushAll()
 	if a.touch(1) {
 		t.Fatal("hit after flush")
+	}
+}
+
+// TestAssocMatchesSlicePerSet checks the flat set layout against a
+// reference that keeps one MRU-first slice per set: over random touches,
+// runs and flushes, every hit/miss answer and every set's contents and
+// order must agree.
+func TestAssocMatchesSlicePerSet(t *testing.T) {
+	for _, shape := range [][2]int{{8, 2}, {64, 4}, {1536, 4}, {4096, 16}, {5, 1}} {
+		a := newAssoc(shape[0], shape[1])
+		ref := make([][]uint64, a.mask+1)
+		refTouch := func(key uint64) bool {
+			s := ref[mix(key)&a.mask]
+			for i, k := range s {
+				if k == key {
+					copy(s[1:i+1], s[:i])
+					s[0] = key
+					return true
+				}
+			}
+			if len(s) < a.ways {
+				s = append(s, 0)
+			}
+			copy(s[1:], s[:len(s)-1])
+			s[0] = key
+			ref[mix(key)&a.mask] = s
+			return false
+		}
+		rng := sim.NewRand(uint64(shape[0]))
+		for step := 0; step < 20000; step++ {
+			key := uint64(rng.Int63n(int64(4 * shape[0])))
+			switch op := rng.Int63n(100); {
+			case op == 0:
+				a.flushAll()
+				for i := range ref {
+					ref[i] = ref[i][:0]
+				}
+			case op < 10:
+				n := int(rng.Int63n(70))
+				want := 0
+				for j := 0; j < n; j++ {
+					if refTouch(key + uint64(j)) {
+						want++
+					}
+				}
+				if got := a.touchRun(key, n); got != want {
+					t.Fatalf("%v step %d: touchRun hits = %d, want %d", shape, step, got, want)
+				}
+			default:
+				if got, want := a.touch(key), refTouch(key); got != want {
+					t.Fatalf("%v step %d: touch(%d) = %v, want %v", shape, step, key, got, want)
+				}
+			}
+		}
+		for si, s := range ref {
+			got := a.keys[si*a.ways : si*a.ways+int(a.fill[si])]
+			if !slices.Equal(got, s) {
+				t.Fatalf("%v set %d: %v, want %v", shape, si, got, s)
+			}
+		}
 	}
 }
 

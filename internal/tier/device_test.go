@@ -95,9 +95,9 @@ func TestSlowDeviceQueueDepth(t *testing.T) {
 	a := sim.NewCtx(1, 0)
 	b := sim.NewCtx(2, 1)
 	c := sim.NewCtx(3, 2)
-	d.Read(a, buf, 0)        // port 0
+	d.Read(a, buf, 0)          // port 0
 	d.Read(b, buf, 2*PageSize) // page 2 -> port 0: queues behind a
-	d.Read(c, buf, PageSize) // page 1 -> port 1: uncontended
+	d.Read(c, buf, PageSize)   // page 1 -> port 1: uncontended
 
 	if a.Now() != perOp {
 		t.Fatalf("first op finished at %d, want %d", a.Now(), perOp)

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mmu"
 	"repro/internal/sim"
@@ -105,9 +106,13 @@ type Mapping struct {
 	length int64
 	own    bool // close f when the mapping closes (MapPath)
 
-	mu     sync.Mutex // guards win, closed, unsynced
+	// mu guards closed and unsynced and serialises window slides.
+	mu     sync.Mutex
 	closed bool
-	win    *window
+	// win is the current window, nil once closed. It is written under mu
+	// and read without it, so an access takes mu only to slide the
+	// window or to report ErrClosed.
+	win atomic.Pointer[window]
 	// unsynced counts ModeShared store bytes since the last durability
 	// point (drives SyncPeriodic).
 	unsynced int64
@@ -219,15 +224,16 @@ func windowBounds(off, length, budget int64, mapFull bool) (base, n int64) {
 // windowForLocked returns the window covering off, sliding it if needed.
 // Caller holds v.mu.
 func (v *Mapping) windowForLocked(ctx *sim.Ctx, off int64) (*window, error) {
-	if w := v.win; w != nil && off >= w.base && off < w.base+w.m.Len() {
-		return w, nil
+	old := v.win.Load()
+	if old.covers(off) {
+		return old, nil
 	}
 	base, n := windowBounds(off, v.length, v.cfg.AddressBudget, v.cfg.MapFullFile)
-	if v.win != nil {
+	if old != nil {
 		// Slide: munmap the old window (full shootdown) and map the new
 		// one — one munmap plus one mmap worth of kernel entries.
-		v.b.DetachMapping(v.win.m)
-		v.win.m.Invalidate()
+		v.b.DetachMapping(old.m)
+		old.m.Invalidate()
 		ctx.Syscall(2 * v.b.MapSyscallNS())
 		ctx.Counters.VMMWindowRemaps++
 	}
@@ -237,13 +243,41 @@ func (v *Mapping) windowForLocked(ctx *sim.Ctx, off int64) (*window, error) {
 	// hook: the rewriter/defragmenter notifies every attached mapping.
 	w.m.SetPromoteHook(func(hctx *sim.Ctx) { v.Repromote(hctx) })
 	v.b.AttachMapping(w.m)
-	v.win = w
+	v.win.Store(w)
 	if v.cfg.Preload {
 		if err := w.m.Prefault(ctx); err != nil {
 			return nil, err
 		}
 	}
 	return w, nil
+}
+
+// covers reports whether w (which may be nil) maps file offset off.
+func (w *window) covers(off int64) bool {
+	return w != nil && off >= w.base && off < w.base+w.m.Len()
+}
+
+// windowAt returns the window covering off and how many of the n bytes
+// at off it maps. The current window is read without v.mu; the lock is
+// taken only to slide the window or to see that the mapping is closed.
+// An access keeps using the window it got even if a slide or Close
+// replaces it meanwhile, as an access in flight during munmap would.
+func (v *Mapping) windowAt(ctx *sim.Ctx, off, n int64) (*window, int64, error) {
+	w := v.win.Load()
+	if !w.covers(off) {
+		v.mu.Lock()
+		if v.closed {
+			v.mu.Unlock()
+			return nil, 0, ErrClosed
+		}
+		var err error
+		w, err = v.windowForLocked(ctx, off)
+		v.mu.Unlock()
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	return w, min(n, w.base+w.m.Len()-off), nil
 }
 
 // offsetHandler adapts the file's mapping-relative fault handler to a
@@ -287,47 +321,49 @@ func (h *offsetHandler) Fault(ctx *sim.Ctx, pageOff int64) (mmu.FaultResult, err
 }
 
 // Read copies len(p) bytes at off through the mapping into p, taking
-// faults and paging costs as a load would.
+// faults and paging costs as a load would. p does not escape.
 func (v *Mapping) Read(ctx *sim.Ctx, p []byte, off int64) error {
-	return v.access(ctx, p, off, false)
+	if off < 0 || off+int64(len(p)) > v.length {
+		return mmu.ErrOutOfRange
+	}
+	for len(p) > 0 {
+		w, n, err := v.windowAt(ctx, off, int64(len(p)))
+		if err != nil {
+			return err
+		}
+		if v.cfg.Mode == ModePrivate {
+			err = v.accessPrivate(ctx, w, p[:n], off, false)
+		} else {
+			err = w.m.Read(ctx, p[:n], off-w.base)
+		}
+		if err != nil {
+			return err
+		}
+		p = p[n:]
+		off += n
+	}
+	return nil
 }
 
 // Write stores p at off through the mapping. ModeReadOnly rejects it;
 // ModePrivate breaks the page to a DRAM shadow; ModeShared stores to PM
 // and tracks dirt for Msync.
 func (v *Mapping) Write(ctx *sim.Ctx, p []byte, off int64) error {
-	return v.access(ctx, p, off, true)
-}
-
-func (v *Mapping) access(ctx *sim.Ctx, p []byte, off int64, write bool) error {
-	if write && v.cfg.Mode == ModeReadOnly {
+	if v.cfg.Mode == ModeReadOnly {
 		return ErrReadOnlyMapping
 	}
 	if off < 0 || off+int64(len(p)) > v.length {
 		return mmu.ErrOutOfRange
 	}
 	for len(p) > 0 {
-		v.mu.Lock()
-		if v.closed {
-			v.mu.Unlock()
-			return ErrClosed
-		}
-		w, err := v.windowForLocked(ctx, off)
-		v.mu.Unlock()
+		w, n, err := v.windowAt(ctx, off, int64(len(p)))
 		if err != nil {
 			return err
 		}
-		n := w.base + w.m.Len() - off
-		if n > int64(len(p)) {
-			n = int64(len(p))
-		}
-		seg := p[:n]
 		if v.cfg.Mode == ModePrivate {
-			err = v.accessPrivate(ctx, w, seg, off, write)
-		} else if write {
-			err = v.writeShared(ctx, w, seg, off)
+			err = v.accessPrivate(ctx, w, p[:n], off, true)
 		} else {
-			err = w.m.Read(ctx, seg, off-w.base)
+			err = v.writeShared(ctx, w, p[:n], off)
 		}
 		if err != nil {
 			return err
@@ -441,19 +477,9 @@ func (v *Mapping) Touch(ctx *sim.Ctx, off, n int64, write bool) error {
 		return mmu.ErrOutOfRange
 	}
 	for n > 0 {
-		v.mu.Lock()
-		if v.closed {
-			v.mu.Unlock()
-			return ErrClosed
-		}
-		w, err := v.windowForLocked(ctx, off)
-		v.mu.Unlock()
+		w, seg, err := v.windowAt(ctx, off, n)
 		if err != nil {
 			return err
-		}
-		seg := w.base + w.m.Len() - off
-		if seg > n {
-			seg = n
 		}
 		if err := w.m.Touch(ctx, off-w.base, seg, write); err != nil {
 			return err
@@ -545,8 +571,7 @@ func (v *Mapping) Close(ctx *sim.Ctx) error {
 		return ErrClosed
 	}
 	v.closed = true
-	w := v.win
-	v.win = nil
+	w := v.win.Swap(nil)
 	v.mu.Unlock()
 	var err error
 	if v.cfg.Mode == ModeShared {
@@ -569,9 +594,7 @@ func (v *Mapping) Close(ctx *sim.Ctx) error {
 // MappedPages reports the live translations of the current window:
 // resident 4KiB base pages and 2MiB hugepage chunks.
 func (v *Mapping) MappedPages() (base, huge int) {
-	v.mu.Lock()
-	w := v.win
-	v.mu.Unlock()
+	w := v.win.Load()
 	if w == nil {
 		return 0, 0
 	}
@@ -594,13 +617,14 @@ func (v *Mapping) Repromote(ctx *sim.Ctx) int {
 	if !ok {
 		return 0
 	}
+	// Under mu, so a slide in progress finishes first and the promotion
+	// targets the window it installs, not the one it tears down.
 	v.mu.Lock()
-	if v.closed {
-		v.mu.Unlock()
-		return 0
-	}
-	w := v.win
+	w := v.win.Load()
 	v.mu.Unlock()
+	if w == nil {
+		return 0 // closed
+	}
 
 	v.statMu.Lock()
 	cand := make([]int64, 0, len(v.chunkKind))
@@ -623,7 +647,7 @@ func (v *Mapping) Repromote(ctx *sim.Ctx) int {
 		// probed blocks before the hugepage PMD is in place (layout
 		// changes take the write lock and invalidate mappings first).
 		eligible := prober.ProbeHuge(fileOff, func(phys int64) {
-			if w != nil && fileOff >= w.base && fileOff+mmu.HugePage <= w.base+w.m.Len() {
+			if fileOff >= w.base && fileOff+mmu.HugePage <= w.base+w.m.Len() {
 				w.m.PromoteChunk(ctx, fileOff-w.base, phys)
 			}
 		})
